@@ -227,7 +227,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     records = train(network, x, y, tcfg, to_input, name=component)
     weights_path = os.path.join(out, f"{component}.fnw1")
     with open(weights_path, "wb") as fh:
-        fh.write(write_weights(network.arrays()))
+        fh.write(write_weights({n: p.data for n, p in network.params.items()}))
     last = records[-1]
     print(f"{component}: {len(records)} epochs, final loss {last.loss:.4f}, "
           f"train metric {last.train_metric:.4f}")

@@ -215,7 +215,8 @@ class Network:
             if tuple(arr.shape) != shape:
                 raise WeightsError(
                     f"layer {name}: expected shape {shape}, got {tuple(arr.shape)}")
-            params[name] = T.Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
+            # a copy: training updates parameters in place, never the caller's arrays
+            params[name] = T.Tensor(np.array(arr, dtype=dtype), requires_grad=True)
         return cls(spec, params)
 
     def arrays(self) -> dict[str, np.ndarray]:

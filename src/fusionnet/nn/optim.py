@@ -29,6 +29,12 @@ def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
              cfg: OptimizerConfig, learning_rate: float | None = None) -> None:
     """v <- momentum*v - lr*(g + weight_decay*w); w <- w + v.
 
+    Both updates happen in place: `p.data` and the velocity buffers in
+    `state` are mutated, not replaced, so an array taken from a parameter
+    before the step changes with it. Callers that need a snapshot use
+    `Network.arrays()`. The in-place ops are the same IEEE ops, in the same
+    order, as the out-of-place formula, so the results are bit-identical.
+
     Frozen parameters (requires_grad False) and parameters with no gradient
     are left untouched. `state` holds one velocity buffer per parameter and
     is created lazily so a fresh dict starts from zero velocity.
@@ -42,10 +48,10 @@ def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
             g = g + p.dtype.type(cfg.weight_decay) * p.data
         v = state.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
-        v = p.dtype.type(cfg.momentum) * v - p.dtype.type(lr) * g
-        state[name] = v
-        p.data = p.data + v
+            v = state[name] = np.zeros_like(p.data)
+        v *= p.dtype.type(cfg.momentum)
+        v -= p.dtype.type(lr) * g
+        p.data += v
 
 
 def step_lr(base_lr: float, epoch: int, step_epochs: int, decay: float) -> float:

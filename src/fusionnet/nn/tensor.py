@@ -156,23 +156,45 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping window maximum (filter = stride = size)."""
-    n, c, h, w = x.shape
+    """Non-overlapping window maximum (filter = stride = size).
+
+    Works on the size*size strided taps x[:, :, a::size, b::size] of the
+    input, with no window copy. As with argmax, the first maximum in
+    (row, col) order wins a tie: it gives the output its bits (the sign of a
+    zero maximum) and receives the gradient. A NaN counts as the maximum, so
+    a window holding NaN outputs its first NaN, which takes the gradient.
+    """
+    _, _, h, w = x.shape
     if h % size or w % size:
         raise ValueError(f"maxpool2d needs dimensions divisible by {size}, got {h}x{w}")
-    ho, wo = h // size, w // size
-    windows = (x.data.reshape(n, c, ho, size, wo, size)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, ho, wo, size * size))
-    idx = np.argmax(windows, axis=-1)  # first occurrence: lowest in-window index on ties
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    offsets = [(a, b) for a in range(size) for b in range(size)]
+    taps = [x.data[:, :, a::size, b::size] for a, b in offsets]
+    out = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(out, t, out=out)
+    # np.maximum keeps the first of two NaNs, as argmax does, but leaves the
+    # sign of a tie between zeros open: copy in the first zero
+    zero = out == 0
+    if zero.any():
+        for t in reversed(taps):
+            np.copyto(out, t, where=zero & (t == 0))
 
     def back(g: np.ndarray) -> None:
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = (dwin.reshape(n, c, ho, wo, size, size)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
+        # g where hit, else +0.0, as an integer product of the float bits:
+        # on mvnet's (8, 16, 64, 64) this is 2.5-3x faster than a masked
+        # copyto or np.where into a strided slice
+        bits = np.dtype(f"i{x.dtype.itemsize}")
+        g_bits = g.astype(x.dtype, copy=False).view(bits)
+        dx = np.empty_like(x.data)  # every element is written once below
+        taken = np.zeros(out.shape, dtype=bool)
+        has_nan = np.isnan(out).any()
+        for (a, b), t in zip(offsets, taps):
+            hit = t == out
+            if has_nan:  # a NaN tap can only sit in a NaN window
+                hit |= np.isnan(t)
+            np.greater(hit, taken, out=hit)  # a maximum no earlier tap took
+            taken |= hit
+            np.multiply(g_bits, hit, out=dx[:, :, a::size, b::size].view(bits))
         _accumulate(x, dx)
 
     return _node(out, (x,), back)

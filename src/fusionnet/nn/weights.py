@@ -6,10 +6,16 @@ Record layout, all integers unsigned 32-bit little-endian:
 
 Checkpoints reuse the format and append optimizer velocity buffers under
 "<param name>.m" so training can resume mid-schedule.
+
+Encoding makes one copy of the values: each array's own buffer (converted
+only if it is not already contiguous little-endian float32) goes straight
+into the final join, with no intermediate bytes object per array. Decoding
+raises WeightsError, and no other error type, on any malformed payload.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -31,7 +37,7 @@ def write_weights(arrays: dict[str, np.ndarray]) -> bytes:
         out.append(nb)
         out.append(struct.pack("<I", a.ndim))
         out.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        out.append(a.tobytes())
+        out.append(a.reshape(-1).view(np.uint8))
     return b"".join(out)
 
 
@@ -51,11 +57,18 @@ def read_weights(data: bytes) -> dict[str, np.ndarray]:
 
     while pos < len(data):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightsError(f"array name is not valid utf-8: {exc}") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
+        count = math.prod(dims)  # a Python int: huge dims cannot wrap around
+        payload = take(4 * count)
+        try:
+            values = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        except ValueError as exc:  # e.g. rank above numpy's limit, or 0 beside huge dims
+            raise WeightsError(f"array {name!r}: bad dims {dims}: {exc}") from None
         if name in arrays:
             raise WeightsError(f"duplicate array name {name!r}")
         arrays[name] = values.copy()

@@ -235,7 +235,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                          f"{name}.fnw1"))
         records = train(network, x, y, tcfg, to_input, name=name)
         with open(os.path.join(cfg.out_dir, "weights", f"{name}.fnw1"), "wb") as fh:
-            fh.write(write_weights(network.arrays()))
+            fh.write(write_weights({n: p.data for n, p in network.params.items()}))
 
         entry: dict = {"train_metric": records[-1].train_metric,
                        "final_loss": records[-1].loss}

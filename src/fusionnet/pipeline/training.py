@@ -9,6 +9,7 @@ lives only in the CSV so metric artifacts stay byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -84,16 +85,20 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
             loss_sum = 0.0
             correct = np.zeros(k)
             total = np.zeros(k)
-            for start in range(0, len(perm), cfg.batch_size):
+            for batch, start in enumerate(range(0, len(perm), cfg.batch_size)):
                 idx = perm[start:start + cfg.batch_size]
                 xb = to_input(x[idx])
                 yb = y[idx]
                 scores = network.forward(xb, training=True, rng=dropout_rng)
                 loss = T.softmax_loss(scores, yb)
+                batch_loss = float(loss.data)
+                if not math.isfinite(batch_loss):
+                    raise ValueError(f"{name}: non-finite loss {batch_loss} at epoch "
+                                     f"{epoch}, batch {batch}; parameters not updated")
                 network.zero_grads()
                 T.backward(loss)
                 sgd_step(network.params, state, cfg.optimizer, learning_rate=lr)
-                loss_sum += float(loss.data) * len(idx)
+                loss_sum += batch_loss * len(idx)
                 preds = np.argmax(scores.data, axis=1)
                 np.add.at(correct, yb, preds == yb)
                 np.add.at(total, yb, 1)
@@ -107,7 +112,8 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
                           f"{rec.wall_seconds:.3f}\n")
                 log.flush()
             if cfg.checkpoint_path:
-                blob = write_weights(make_checkpoint(network.arrays(), state))
+                live = {n: p.data for n, p in network.params.items()}
+                blob = write_weights(make_checkpoint(live, state))
                 tmp = cfg.checkpoint_path + ".tmp"
                 with open(tmp, "wb") as fh:
                     fh.write(blob)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per numbered criterion, each printing a single
 PASS/FAIL line via the shared recorder. Criteria 7-9 share one desk-scale
-pipeline run; criterion 9 repeats it to compare report bytes."""
+pipeline run; criterion 9 repeats it to compare report bytes. They are
+marked slow, so `pytest -m "not slow"` skips the run."""
 
 import os
 import time
@@ -179,6 +180,7 @@ def test_criterion_06_view_pooling_permutation_invariance():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_desk_scale_end_to_end(desk_run):
     metrics = desk_run["metrics"]
     comp = metrics["components"]
@@ -201,6 +203,7 @@ def test_criterion_07_desk_scale_end_to_end(desk_run):
     assert ok, {k: v for k, v in checks.items() if not v}
 
 
+@pytest.mark.slow
 def test_criterion_08_fine_tuning_halves_convergence(desk_run):
     t0 = time.perf_counter()
     out = desk_run["out"]
@@ -273,6 +276,7 @@ def test_criterion_08_fine_tuning_halves_convergence(desk_run):
                 "ft": ft_history, "scratch": scratch_history}
 
 
+@pytest.mark.slow
 def test_criterion_09_deterministic_reports(desk_run, tmp_path_factory):
     out2 = tmp_path_factory.mktemp("desk2")
     t0 = time.perf_counter()

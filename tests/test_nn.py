@@ -1,6 +1,7 @@
 """Tensor op semantics, optimizer arithmetic, weights format, gradcheck."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ class TestRelu:
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
+def maxpool2d_reference(x, size):
+    """The argmax formulation of maxpool2d (window copy, argmax, take/put)."""
+    n, c, h, w = x.shape
+    ho, wo = h // size, w // size
+    windows = (x.reshape(n, c, ho, size, wo, size).transpose(0, 1, 2, 4, 3, 5)
+               .reshape(n, c, ho, wo, size * size))
+    idx = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        dwin = np.zeros_like(windows)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        return (dwin.reshape(n, c, ho, wo, size, size).transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h, w))
+
+    return out, back
+
+
 class TestMaxpool2d:
     def test_hand_example(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -126,6 +145,41 @@ class TestMaxpool2d:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             T.maxpool2d(Tensor(np.zeros((1, 1, 5, 4))), size=2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_bit_identical_to_argmax_reference(self, size, dtype):
+        rng = np.random.default_rng(size)
+        # few distinct values: many windows repeat their maximum
+        x = rng.integers(-3, 4, size=(3, 4, 6 * size, 6 * size)).astype(dtype)
+        x *= x > 0  # ReLU'd: negatives become -0.0
+        x[0, 0] = 0.0  # all-zero windows ...
+        x[0, 1] = -0.0
+        x[0, 2] = np.where(rng.random(x[0, 2].shape) < 0.5, 0.0, -0.0)  # ... of mixed sign
+        x[1, 0] = rng.normal(size=x[1, 0].shape)  # and a plain real-valued channel
+        x[1, 1] = np.where(rng.random(x[1, 1].shape) < 0.3, np.nan, x[1, 1])  # NaN windows
+        x[1, 1, ::2] = -x[1, 1, ::2]  # with NaNs of both signs: argmax keeps the first
+        g = rng.normal(size=(3, 4, 6, 6)).astype(dtype)
+        g[0, 3] = -0.0
+        g[2, 1] *= 0.0  # +0.0 and -0.0 gradients
+        ref_out, ref_back = maxpool2d_reference(x, size)
+        xt = Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, size=size)
+        out._backward(g)
+        assert out.data.dtype == dtype and xt.grad.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_back(g).tobytes()
+
+    def test_nan_window_outputs_nan(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x[0, 0, 1, 0] = np.nan
+        xt = Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, size=2)
+        assert np.isnan(out.data[0, 0]).tolist() == [[True, False], [False, False]]
+        out._backward(np.ones((1, 1, 2, 2), dtype=np.float32))
+        expected = np.zeros((4, 4), dtype=np.float32)
+        expected[1, 0] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
+        np.testing.assert_array_equal(xt.grad[0, 0], expected)  # the NaN takes its window's
 
 
 class TestViewMaxpool:
@@ -333,6 +387,29 @@ class TestSgd:
                  learning_rate=0.01)
         np.testing.assert_allclose(p.data, [0.99])
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_in_place_matches_out_of_place_formula(self, weight_decay):
+        rng = np.random.default_rng(3)
+        cfg = OptimizerConfig(learning_rate=0.01, momentum=0.9, weight_decay=weight_decay)
+        w0 = rng.normal(size=(5, 7)).astype(np.float32)
+        p = Tensor(w0.copy(), requires_grad=True)
+        alias = p.data
+        state = {}
+        ref_w, ref_v = w0.copy(), np.zeros_like(w0)
+        f = np.float32
+        for step in range(6):
+            g = rng.normal(size=w0.shape).astype(np.float32)
+            lr = 0.01 if step < 3 else 0.001
+            p.grad = g
+            sgd_step({"w": p}, state, cfg, learning_rate=lr)
+            # the update as an out-of-place formula
+            gd = g + f(weight_decay) * ref_w if weight_decay else g
+            ref_v = f(0.9) * ref_v - f(lr) * gd
+            ref_w = ref_w + ref_v
+            assert p.data.tobytes() == ref_w.tobytes()
+            assert state["w"].tobytes() == ref_v.tobytes()
+        assert p.data is alias  # updated in place, not replaced
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.0)
@@ -388,6 +465,69 @@ class TestWeightsFormat:
         one = W.write_weights({"a": np.ones(2, dtype=np.float32)})
         with pytest.raises(W.WeightsError):
             W.read_weights(one + one[4:])
+
+    def test_matches_tobytes_encoder(self):
+        def reference(arrays):
+            out = [W.MAGIC]
+            for name, arr in arrays.items():
+                nb = name.encode("utf-8")
+                a = np.ascontiguousarray(arr, dtype="<f4")
+                out += [struct.pack("<I", len(nb)), nb, struct.pack("<I", a.ndim),
+                        struct.pack(f"<{a.ndim}I", *a.shape), a.tobytes()]
+            return b"".join(out)
+
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(6, 8))
+        arrays = {
+            "transposed": base.astype(np.float32).T,
+            "strided.f64": base[::2, 1::3],
+            "big.endian": base.astype(">f4"),
+            "ints": np.arange(12, dtype=np.int64).reshape(3, 4),
+            "scalar": np.float64(1.5),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "n\u00e4me": np.ones(2, dtype=np.float32),
+        }
+        assert W.write_weights(arrays) == reference(arrays)
+        assert isinstance(W.write_weights(arrays), bytes)
+
+    def test_bad_utf8_name_rejected(self):
+        data = bytearray(W.write_weights({"ab": np.ones(1, dtype=np.float32)}))
+        data[8] = 0xFF  # first byte of the name
+        with pytest.raises(W.WeightsError, match="utf-8"):
+            W.read_weights(bytes(data))
+
+    def test_dims_overrunning_payload_rejected(self):
+        # 2**31 * 2**31 * 4 wraps to 0 in int64 arithmetic
+        header = W.MAGIC + struct.pack("<I", 1) + b"a" + struct.pack("<4I", 3, 2**31, 2**31, 4)
+        with pytest.raises(W.WeightsError):
+            W.read_weights(header)
+        with pytest.raises(W.WeightsError):
+            W.read_weights(W.MAGIC + struct.pack("<I", 1) + b"a" + struct.pack("<I", 2**32 - 1))
+        # a payload that fits, but a shape numpy cannot hold: huge dims beside a 0, or 65 dims
+        for dims in [(0, 2**32 - 1, 2**32 - 1), (1,) * 65]:
+            record = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+            with pytest.raises(W.WeightsError, match="bad dims"):
+                W.read_weights(W.MAGIC + struct.pack("<I", 1) + b"a" + record
+                               + bytes(4 * math.prod(dims)))
+
+    def test_fuzzed_blobs_parse_or_raise_weights_error(self):
+        rng = np.random.default_rng(11)
+        blob = W.write_weights(W.make_checkpoint(
+            {"L00.conv2d.w": rng.normal(size=(2, 1, 3, 3)),
+             "L01.fully_connected.b": rng.normal(size=3)},
+            {"L00.conv2d.w": np.zeros((2, 1, 3, 3))}))
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(400):
+            data = bytearray(blob)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] = int(rng.integers(0, 256))
+            cases.append(bytes(data))
+        for data in cases:
+            try:
+                arrays = W.read_weights(data)
+            except W.WeightsError:
+                continue
+            assert all(a.dtype == np.float32 for a in arrays.values())
 
     def test_checkpoint_split_inverse(self):
         params = {"w": np.ones(2, dtype=np.float32)}

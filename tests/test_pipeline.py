@@ -11,6 +11,7 @@ from fusionnet.models import ClassScores, Network, NetworkSpec
 from fusionnet.nn import OptimizerConfig
 from fusionnet.nn import layers as L
 from fusionnet.nn.weights import read_weights, split_checkpoint, write_weights
+from fusionnet.orientations import derive_seed
 from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
                                 EpochRecord, FusionWeights, ManifestEntry,
                                 ReportRow, RunConfig, TrainingConfig,
@@ -295,6 +296,31 @@ class TestTraining:
         train(net, x, y, toy_config(epochs=3), np.float32, name="toy",
               after_epoch=lambda n, e: seen.append(e))
         assert seen == [0, 1, 2]
+
+    def test_from_arrays_network_trains_on_its_own_copy(self):
+        source = Network.initialize(toy_spec(), seed=1).arrays()
+        before = {k: v.copy() for k, v in source.items()}
+        net = Network.from_arrays(toy_spec(), source)
+        x, y = toy_data()
+        train(net, x, y, toy_config(epochs=1), np.float32, name="toy")
+        assert not np.array_equal(net.arrays()["L03.fully_connected.w"],
+                                  before["L03.fully_connected.w"])
+        for k in before:
+            assert source[k].tobytes() == before[k].tobytes()
+
+    def test_non_finite_loss_stops_before_update(self):
+        net = Network.initialize(toy_spec(), seed=1)
+        before = net.arrays()
+        x, y = toy_data()
+        # a NaN in a sample of the first epoch's second batch (batch size 8)
+        order = np.random.default_rng(derive_seed(0, "order", "toy")).permutation(len(x))
+        x[order[10], 0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="toy: non-finite loss nan at epoch 0, batch 1"):
+            train(net, x, y, toy_config(epochs=2), np.float32, name="toy")
+        # one update, from batch 0; the NaN batch updated nothing
+        assert all(np.isfinite(v).all() for v in net.arrays().values())
+        assert not np.array_equal(net.arrays()["L03.fully_connected.w"],
+                                  before["L03.fully_connected.w"])
 
     def test_validation(self):
         net = Network.initialize(toy_spec(), seed=1)
