@@ -21,6 +21,7 @@ from .orientations import (
 )
 from .render import (
     CameraRig,
+    PgmError,
     ViewImage,
     make_camera_rig,
     read_pgm,
@@ -55,6 +56,7 @@ __all__ = [
     "rotation_matrix",
     "sample_orientations",
     "CameraRig",
+    "PgmError",
     "ViewImage",
     "make_camera_rig",
     "read_pgm",

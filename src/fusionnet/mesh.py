@@ -109,6 +109,8 @@ def _parse_off(data: bytes | str, source_path: str | None) -> TriangleMesh:
         n_verts, n_faces, _ = (int(t) for t in toks)
     except ValueError:
         raise OffParseError(f"line {ln}: non-numeric token in counts line") from None
+    if n_verts < 0 or n_faces < 0:
+        raise OffParseError(f"line {ln}: negative count in counts line")
     pos += 1
 
     if len(rows) - pos < n_verts:

@@ -8,9 +8,12 @@ Layout under the cache directory:
     cache_manifest.jsonl         settings line + sha256 per produced file
 
 Preparation is idempotent: files that exist and pass their header check are
-skipped; corrupt or wrong-shape files are regenerated in place. All writes
-go through a temp file + rename. Model ids may contain '/' (ModelNet);
-path separators are flattened to '__' in file names.
+skipped; corrupt or wrong-shape files are regenerated in place. When the
+manifest's settings line differs from the current settings, every file is
+stale and is regenerated; with no manifest (an interrupted first
+preparation) the header check alone decides, so a resume keeps its work.
+All writes go through a temp file + rename. Model ids may contain '/'
+(ModelNet); path separators are flattened to '__' in file names.
 """
 
 from __future__ import annotations
@@ -112,7 +115,9 @@ def model_orientations(model_id: str, settings: CacheSettings) -> OrientationSet
 
 def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
                    settings: CacheSettings, include_voxels: bool,
-                   include_views: bool, include_jitter: bool) -> CacheReport:
+                   include_views: bool, include_jitter: bool,
+                   stale: bool) -> CacheReport:
+    """Write the model's cache files; with stale set, no existing file is kept."""
     report = CacheReport()
     try:
         with open(mesh_path, "rb") as fh:
@@ -121,7 +126,7 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
 
         opath = os.path.join(cache_dir, orient_rel(model_id))
         otext = orientations_to_text(oset).encode("ascii")
-        if os.path.exists(opath) and open(opath, "rb").read() == otext:
+        if not stale and os.path.exists(opath) and open(opath, "rb").read() == otext:
             report.skipped += 1
         else:
             _replace_file(opath, otext, report)
@@ -136,7 +141,7 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
         for jit, mesh in flavors:
             for k, o in enumerate(oset.orientations):
                 path = os.path.join(cache_dir, voxel_rel(model_id, k, jit))
-                if _valid_voxel_file(path, settings.resolution):
+                if not stale and _valid_voxel_file(path, settings.resolution):
                     report.skipped += 1
                     continue
                 turned = normalize_mesh(apply_rotation(mesh, o))
@@ -148,7 +153,7 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
             normalized = normalize_mesh(raw)
             for v in range(len(rig.positions)):
                 path = os.path.join(cache_dir, view_rel(model_id, v))
-                if _valid_view_file(path, settings.image_size):
+                if not stale and _valid_view_file(path, settings.image_size):
                     report.skipped += 1
                     continue
                 img = render_view(normalized, rig, v)
@@ -178,13 +183,27 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
                    settings: CacheSettings, include_voxels: bool = True,
                    include_views: bool = True, include_jitter: bool = False,
                    jobs: int = 1) -> CacheReport:
-    """Build every cache file the manifest implies, skipping valid ones,
-    then rewrite the content-hash manifest if anything changed."""
+    """Build every cache file the manifest implies, skipping valid ones made
+    under the same settings, then rewrite the content-hash manifest if
+    anything changed."""
     for sub in ("voxels", "views", "orientations") + (("voxels_jit",) if include_jitter else ()):
         os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
 
+    settings_line = json.dumps({"kind": "settings",
+                                "orientation_count": settings.orientation_count,
+                                "resolution": settings.resolution,
+                                "image_size": settings.image_size,
+                                "seed": settings.seed,
+                                "jitter_sigma": settings.jitter_sigma}, sort_keys=True)
+    mpath = os.path.join(cache_dir, "cache_manifest.jsonl")
+    try:
+        with open(mpath, "rb") as fh:
+            stale = fh.readline() != (settings_line + "\n").encode("ascii")
+    except FileNotFoundError:
+        stale = False
+
     tasks = [(manifest.mesh_path(e), e.model_id, cache_dir, settings,
-              include_voxels, include_views, include_jitter)
+              include_voxels, include_views, include_jitter, stale)
              for e in manifest.entries]
     report = CacheReport()
     if jobs > 1:
@@ -195,12 +214,11 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
         for task in tasks:
             report.merge(_prepare_model(*task))
 
-    lines = [json.dumps({"kind": "settings",
-                         "orientation_count": settings.orientation_count,
-                         "resolution": settings.resolution,
-                         "image_size": settings.image_size,
-                         "seed": settings.seed,
-                         "jitter_sigma": settings.jitter_sigma}, sort_keys=True)]
+    if stale and report.failures:
+        # a failed model may keep files of the old settings: leave the old
+        # settings line so that the next preparation regenerates them
+        return report
+    lines = [settings_line]
     for rel in sorted(_expected_files(manifest, settings, include_voxels,
                                       include_views, include_jitter)):
         path = os.path.join(cache_dir, rel)
@@ -210,7 +228,6 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
         lines.append(json.dumps({"path": rel.replace(os.sep, "/"), "sha256": digest},
                                 sort_keys=True))
     blob = ("\n".join(lines) + "\n").encode("ascii")
-    mpath = os.path.join(cache_dir, "cache_manifest.jsonl")
     if not (os.path.exists(mpath) and open(mpath, "rb").read() == blob):
         _write_atomic(mpath, blob)
     return report

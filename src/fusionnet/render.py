@@ -14,6 +14,7 @@ orientation (the unit cube's bounding sphere maps to 90% of the half-width).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,6 +30,12 @@ FRAME_FILL = 0.9
 ORTHO_HALF_EXTENT = math.sqrt(3.0) / 2.0 / FRAME_FILL
 
 VIEW_COUNT = 20
+
+_PGM_DIMS = re.compile(rb"([1-9][0-9]{0,8}) ([1-9][0-9]{0,8})")
+
+
+class PgmError(ValueError):
+    """Malformed PGM bytes."""
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,12 @@ def read_pgm(data: bytes) -> np.ndarray:
     """Parse binary PGM produced by write_pgm; returns uint8 (H, W)."""
     parts = data.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError("not a maxval-255 binary PGM")
-    w, h = (int(t) for t in parts[1].split())
+        raise PgmError("not a maxval-255 binary PGM")
+    dims = _PGM_DIMS.fullmatch(parts[1])
+    if dims is None:
+        raise PgmError(f"bad PGM dims line {parts[1][:32]!r}")
+    w, h = int(dims[1]), int(dims[2])
     raw = parts[3]
     if len(raw) != w * h:
-        raise ValueError(f"PGM payload is {len(raw)} bytes, expected {w * h}")
+        raise PgmError(f"PGM payload is {len(raw)} bytes, expected {w * h}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w)

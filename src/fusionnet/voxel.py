@@ -1,12 +1,28 @@
 """Surface voxelization of normalized meshes into binary occupancy grids.
 
 A voxel is occupied iff at least one triangle intersects its closed
-axis-aligned box, decided by the 13-axis separating-axis test. Candidate
-(triangle, voxel) pairs are pruned by triangle bounding boxes, padded by one
-voxel so the pruning can never drop a grazing contact; pruning must not (and
-does not) change results versus an exhaustive per-pair test. Triangle-side
-projections onto the 10 non-trivial axes are tabulated once per face, so the
-per-pair cost is the box-center projection plus interval comparisons.
+axis-aligned box, decided by the 13-axis separating-axis test of
+Akenine-Moller (2001). Triangle-side projections onto the 10 non-trivial
+axes are tabulated once per face, so the per-pair cost is the box-center
+projection plus interval comparisons.
+
+Candidate (triangle, voxel) pairs come from the triangle's bounding box,
+padded by one voxel, and are pruned in the manner of Schwarz & Seidel
+(2010) before the exact test:
+
+- columns: the box is walked as columns along the dominant axis w of the
+  face normal; a column is dropped when the box test along the other two
+  axes separates it, or when one of the three edge axes cross(e_w, edge)
+  does (their w component is 0, so they depend on the column alone);
+- slab: in a kept column only the voxels whose centers can satisfy the
+  plane-axis condition are kept, solved for the w coordinate. A face with
+  a zero normal keeps its whole column.
+
+Every pruning comparison is loosened by _SLACK, far above the rounding
+error of these projections (all operands are below 4 in magnitude), so
+pruning only drops pairs the exact test rejects. The survivors get the
+same exact test, the same float operations on the same values, so the
+grids are bit-identical to testing every pair of the padded box.
 
 Grid layout: ``occupancy[z, y, x]``; ``occupancy.ravel()`` is therefore
 x-fastest row-major, the order used by the cache format.
@@ -26,6 +42,7 @@ _MAGIC = b"VOXB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sB3H5x")  # magic, version, dims (x, y, z), reserved
 _PAIR_CHUNK = 1 << 21  # cap on simultaneously tested (triangle, voxel) pairs
+_SLACK = 1e-9  # outward margin of every pruning comparison, in projection units
 
 
 class VoxelCacheError(ValueError):
@@ -50,10 +67,6 @@ class VoxelGrid:
 
     def count(self) -> int:
         return int(self.occupancy.sum())
-
-    def to_channels(self) -> np.ndarray:
-        """Float32 (depth, height, width) tensor: z slices become channels."""
-        return self.occupancy.astype(np.float32)
 
 
 def _face_sat_tables(tri: np.ndarray, half: float
@@ -90,6 +103,65 @@ def _face_sat_tables(tri: np.ndarray, half: float
     return axes, rad, proj.min(axis=2), proj.max(axis=2)
 
 
+def _slab_candidates(faces: np.ndarray, lo_idx: np.ndarray, hi_idx: np.ndarray,
+                     tmin: np.ndarray, tmax: np.ndarray, tables: tuple, h: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The (triangle, voxel) pairs of the given faces' padded boxes that
+    survive the column cull and the plane slab (see module docstring).
+
+    Returns the face of each pair (P,) and its voxel index (P, 3) in (x, y, z).
+    """
+    axes, rad, vpmin, vpmax = tables
+    half = h / 2.0
+    w = np.abs(axes[faces, 0]).argmax(axis=1)  # dominant axis of the normal
+    u, v = (w + 1) % 3, (w + 2) % 3
+    span_u = hi_idx[faces, u] - lo_idx[faces, u] + 1
+    span_v = hi_idx[faces, v] - lo_idx[faces, v] + 1
+    ncol = span_u * span_v
+    col = np.repeat(np.arange(len(faces)), ncol)
+    rank = np.arange(int(ncol.sum())) - np.repeat(np.cumsum(ncol) - ncol, ncol)
+    f, u, v, w = faces[col], u[col], v[col], w[col]
+    iu = lo_idx[f, u] + rank % span_u[col]
+    iv = lo_idx[f, v] + rank // span_u[col]
+    cu = GRID_LO + (iu + 0.5) * h
+    cv = GRID_LO + (iv + 0.5) * h
+
+    # columns: the exact box test along u and v (the same float operations),
+    # then the edge axes cross(e_w, edge), whose w component is 0
+    keep = ~((tmin[f, u] - cu > half) | (tmax[f, u] - cu < -half)
+             | (tmin[f, v] - cv > half) | (tmax[f, v] - cv < -half))
+    for e in range(3):
+        a = 1 + 3 * e + w
+        cp = axes[f, a, u] * cu + axes[f, a, v] * cv
+        keep &= ((vpmin[f, a] - cp <= rad[f, a] + _SLACK)
+                 & (vpmax[f, a] - cp >= -rad[f, a] - _SLACK))
+    kept = np.flatnonzero(keep)
+    f, u, v, w, iu, iv, cu, cv = (x[kept] for x in (f, u, v, w, iu, iv, cu, cv))
+
+    # slab: vpmin0 - rad0 <= n.c <= vpmax0 + rad0 solved for c_w; a zero
+    # normal divides by zero and keeps its whole column
+    n = axes[f, 0]
+    r = np.arange(len(f))
+    s = n[r, u] * cu + n[r, v] * cv
+    with np.errstate(divide="ignore", over="ignore"):
+        b0 = (vpmin[f, 0] - rad[f, 0] - _SLACK - s) / n[r, w]
+        b1 = (vpmax[f, 0] + rad[f, 0] + _SLACK - s) / n[r, w]
+    # c_w = GRID_LO + (k + 0.5) h, clipped to the padded box
+    lo_w, hi_w = lo_idx[f, w], hi_idx[f, w]
+    k_lo = np.clip(np.ceil((np.minimum(b0, b1) - GRID_LO) / h - 0.5), lo_w, hi_w + 1)
+    k_hi = np.clip(np.floor((np.maximum(b0, b1) - GRID_LO) / h - 0.5), lo_w - 1, hi_w)
+    k_lo = k_lo.astype(np.int64)
+    depth = k_hi.astype(np.int64) - k_lo + 1
+
+    pair = np.repeat(r, depth)
+    p = np.arange(len(pair))
+    ijk = np.empty((len(pair), 3), dtype=np.int64)
+    ijk[p, u[pair]] = iu[pair]
+    ijk[p, v[pair]] = iv[pair]
+    ijk[p, w[pair]] = k_lo[pair] + p - np.repeat(np.cumsum(depth) - depth, depth)
+    return f[pair], ijk
+
+
 def voxelize_surface(mesh: TriangleMesh, resolution: int = 30) -> VoxelGrid:
     """Rasterize the triangle surface into a resolution^3 occupancy grid.
 
@@ -108,7 +180,8 @@ def voxelize_surface(mesh: TriangleMesh, resolution: int = 30) -> VoxelGrid:
     tri = mesh.vertices[mesh.faces]  # (F, 3, 3)
     tmin = tri.min(axis=1)
     tmax = tri.max(axis=1)
-    axes, rad, vpmin, vpmax = _face_sat_tables(tri, half)
+    tables = _face_sat_tables(tri, half)
+    axes, rad, vpmin, vpmax = tables
 
     # inclusive candidate index ranges per triangle, padded one voxel
     lo_idx = np.floor((tmin - GRID_LO) / h).astype(np.int64) - 1
@@ -116,8 +189,8 @@ def voxelize_surface(mesh: TriangleMesh, resolution: int = 30) -> VoxelGrid:
     np.clip(lo_idx, 0, resolution - 1, out=lo_idx)
     np.clip(hi_idx, 0, resolution - 1, out=hi_idx)
 
-    spans = hi_idx - lo_idx + 1  # (F, 3) in (x, y, z)
-    counts = spans.prod(axis=1)
+    # a face's padded box bounds both its columns and its pairs
+    counts = (hi_idx - lo_idx + 1).prod(axis=1)
     total = int(counts.sum())
 
     occ = np.zeros((resolution,) * 3, dtype=bool)
@@ -137,16 +210,8 @@ def voxelize_surface(mesh: TriangleMesh, resolution: int = 30) -> VoxelGrid:
         chunk_faces.append(np.array(acc))
 
     for faces in chunk_faces:
-        c = counts[faces]
-        pair_face = np.repeat(np.arange(len(faces)), c)
-        rank = np.arange(int(c.sum())) - np.repeat(np.concatenate([[0], np.cumsum(c)])[:-1], c)
-        sp = spans[faces][pair_face]
-        lo = lo_idx[faces][pair_face]
-        i = lo[:, 0] + rank % sp[:, 0]
-        j = lo[:, 1] + (rank // sp[:, 0]) % sp[:, 1]
-        k = lo[:, 2] + rank // (sp[:, 0] * sp[:, 1])
-        centers = GRID_LO + (np.stack([i, j, k], axis=1) + 0.5) * h
-        gf = faces[pair_face]
+        gf, ijk = _slab_candidates(faces, lo_idx, hi_idx, tmin, tmax, tables, h)
+        centers = GRID_LO + (ijk + 0.5) * h
         # box face normals: triangle AABB vs box, closed (touch overlaps)
         sep = ((tmin[gf] - centers > half).any(axis=1)
                | (tmax[gf] - centers < -half).any(axis=1))
@@ -159,9 +224,8 @@ def voxelize_surface(mesh: TriangleMesh, resolution: int = 30) -> VoxelGrid:
             cp = np.einsum("pi,pi->p", ax, cen)
             sep |= ((vpmin[gf, a] - cp > rad[gf, a])
                     | (vpmax[gf, a] - cp < -rad[gf, a]))
-        hit = live[~sep]
-        flat_idx = i[hit] + resolution * (j[hit] + resolution * k[hit])
-        flat[flat_idx] = True
+        i, j, k = ijk[live[~sep]].T
+        flat[i + resolution * (j + resolution * k)] = True
 
     return VoxelGrid(resolution, occ)
 

@@ -5,6 +5,7 @@ import pytest
 
 from fusionnet.mesh import (JitterConfig, OffParseError, TriangleMesh,
                             jitter_mesh, normalize_mesh, parse_off, write_off)
+from fusionnet.pipeline.data import make_box
 
 TETRA_OFF = b"""OFF
 4 4 6
@@ -52,10 +53,28 @@ class TestParseOff:
         b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n",       # index out of range
         b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n",         # degenerate face
         b"",                                                  # empty input
+        b"OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",      # negative vertex count
+        b"OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n",              # negative face count
     ])
     def test_malformed_inputs_raise(self, data):
         with pytest.raises(OffParseError):
             parse_off(data)
+
+    def test_fuzzed_off_parses_or_raises_off_parse_error(self):
+        rng = np.random.default_rng(3)
+        blob = write_off(make_box(rng))
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(400):
+            data = bytearray(blob)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] = int(rng.integers(0, 256))
+            cases.append(bytes(data))
+        for data in cases:
+            try:
+                mesh = parse_off(data)
+            except OffParseError:
+                continue
+            mesh.validate()
 
     def test_error_mentions_source_path(self):
         with pytest.raises(OffParseError, match="thing.off"):

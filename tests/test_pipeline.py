@@ -1,5 +1,6 @@
 """Dataset generation, cache lifecycle, training, evaluation, fusion tests."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -194,6 +195,56 @@ class TestCacheLifecycle:
         assert vw.shape == (3, 3, 32, 32) and vw.dtype == np.float32
         assert vw.min() >= 0.0 and vw.max() <= 1.0
         np.testing.assert_array_equal(vw[:, 0], vw[:, 1])
+
+    @pytest.mark.parametrize("change", [{"seed": 1}, {"orientation_count": 3},
+                                        {"jitter_sigma": 0.5}, {"resolution": 12},
+                                        {"image_size": 16}], ids=lambda c: next(iter(c)))
+    def test_changed_settings_regenerate(self, tiny_dataset, tmp_path, change):
+        """Files made under other settings are rebuilt, not kept because
+        their headers parse, and then match a fresh build byte for byte."""
+        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
+        prepare_caches(tiny_dataset, cache, TINY, include_jitter=True)
+        before = sum(len(files) for _, _, files in os.walk(cache))
+        changed = dataclasses.replace(TINY, **change)
+        report = prepare_caches(tiny_dataset, cache, changed, include_jitter=True)
+        assert report.failures == [] and report.skipped == 0
+        assert report.regenerated == before - 1  # all but the manifest
+        prepare_caches(tiny_dataset, fresh, changed, include_jitter=True)
+        for dirpath, _, files in os.walk(fresh):
+            for name in files:
+                got = os.path.join(cache, os.path.relpath(os.path.join(dirpath, name), fresh))
+                with open(got, "rb") as a, open(os.path.join(dirpath, name), "rb") as b:
+                    assert a.read() == b.read(), got
+        again = prepare_caches(tiny_dataset, cache, changed, include_jitter=True)
+        assert (again.written, again.regenerated, again.failures) == (0, 0, [])
+
+    def test_failed_stale_pass_stays_stale(self, tmp_path):
+        """A model that fails while the files are stale keeps its old files,
+        so the old settings line stays and the next pass rebuilds them."""
+        manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
+                                          out_dir=str(tmp_path / "ds"))
+        cache = str(tmp_path / "cache")
+        prepare_caches(manifest, cache, TINY)
+        mesh_path = manifest.mesh_path(manifest.entries[0])
+        with open(mesh_path, "rb") as fh:
+            good = fh.read()
+        with open(mesh_path, "wb") as fh:
+            fh.write(b"not an OFF file")
+        changed = dataclasses.replace(TINY, seed=1)
+        assert prepare_caches(manifest, cache, changed).failures
+        with open(mesh_path, "wb") as fh:
+            fh.write(good)
+        report = prepare_caches(manifest, cache, changed)
+        assert report.failures == [] and report.skipped == 0
+
+    def test_missing_manifest_keeps_valid_files(self, tiny_dataset, tmp_path):
+        """An interrupted first preparation leaves no manifest; the resume
+        keeps every file that passes its header check."""
+        cache = str(tmp_path / "cache")
+        prepare_caches(tiny_dataset, cache, TINY)
+        os.remove(os.path.join(cache, "cache_manifest.jsonl"))
+        report = prepare_caches(tiny_dataset, cache, TINY)
+        assert (report.written, report.regenerated) == (0, 0) and report.skipped > 0
 
     def test_parallel_prepare_matches_serial(self, tiny_dataset, tmp_path):
         serial = tmp_path / "serial"

@@ -7,7 +7,7 @@ import pytest
 
 from fusionnet.mesh import TriangleMesh, normalize_mesh
 from fusionnet.render import (AMBIENT, DIFFUSE, ORTHO_HALF_EXTENT, SHININESS,
-                              SPECULAR, VIEW_COUNT, CameraRig, ViewImage,
+                              SPECULAR, VIEW_COUNT, CameraRig, PgmError, ViewImage,
                               camera_basis, make_camera_rig, read_pgm,
                               render_view, replicate_channels, write_pgm)
 
@@ -240,3 +240,36 @@ class TestImageHelpers:
         data = write_pgm(img)
         with pytest.raises(ValueError):
             read_pgm(data[:-5])
+
+    @pytest.mark.parametrize("data", [
+        b"P5\n2 x\n255\n" + bytes(4),            # non-numeric dim
+        b"P5\n2 2 2\n255\n" + bytes(4),          # extra dim
+        b"P5\n2\n255\n" + bytes(4),              # missing dim
+        b"P5\n-2 -2\n255\n" + bytes(4),          # negative dims
+        b"P5\n0 0\n255\n",                      # empty image
+        b"P5\n+2 2\n255\n" + bytes(4),           # signed dim
+        b"P5\n 2 2\n255\n" + bytes(4),           # stray space
+        b"P5\n2 " + b"9" * 5000 + b"\n255\n",     # dim beyond int parsing limits
+    ], ids=["non-numeric", "extra", "missing", "negative", "zero", "signed", "space", "huge"])
+    def test_pgm_bad_dims_raise_pgm_error(self, data):
+        with pytest.raises(PgmError):
+            read_pgm(data)
+
+    def test_fuzzed_pgm_parses_or_raises_pgm_error(self):
+        mesh = normalize_mesh(TriangleMesh(
+            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])))
+        blob = write_pgm(render_view(mesh, make_camera_rig(16), 0))
+        rng = np.random.default_rng(5)
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(400):
+            data = bytearray(blob)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] = int(rng.integers(0, 256))
+            cases.append(bytes(data))
+        for data in cases:
+            try:
+                img = read_pgm(data)
+            except PgmError:
+                continue
+            assert img.dtype == np.uint8 and img.size == len(data.split(b"\n", 3)[3])

@@ -1,15 +1,22 @@
 """Voxelizer and cache-format tests.
 
-The oracle comparisons are the heart of this file: the shipped voxelizer
-(bbox pruning, tabulated projections) must agree exactly with the
-exhaustive corner-projection reference in sat_oracle.py.
+Two references pin the voxelizer. The exhaustive corner-projection oracle
+in sat_oracle.py must agree with it exactly as a set of voxels. The
+bounding-box voxelizer below, which sends every (triangle, voxel) pair of
+the padded box to the exact test, must agree with it bit for bit: the
+column cull and the plane slab may only drop pairs that the exact test
+rejects, so no grid may change.
 """
 
 import numpy as np
 import pytest
 
-from fusionnet.mesh import TriangleMesh, normalize_mesh, parse_off
-from fusionnet.voxel import (VoxelCacheError, VoxelGrid, read_voxel_cache,
+from fusionnet import voxel
+from fusionnet.mesh import (JitterConfig, TriangleMesh, jitter_mesh, normalize_mesh,
+                            parse_off)
+from fusionnet.orientations import apply_rotation, sample_orientations
+from fusionnet.pipeline.data import _GENERATORS
+from fusionnet.voxel import (GRID_LO, VoxelCacheError, VoxelGrid, read_voxel_cache,
                              voxelize_surface, write_voxel_cache)
 
 from sat_oracle import voxelize_reference
@@ -128,6 +135,131 @@ class TestOracleAgreement:
         np.testing.assert_array_equal(fast.occupancy, slow.occupancy)
 
 
+def voxelize_bbox_reference(mesh: TriangleMesh, resolution: int) -> VoxelGrid:
+    """The voxelizer before the column cull and the plane slab: every voxel
+    of a triangle's bounding box, padded by one, goes to the exact test."""
+    h = 1.0 / resolution
+    half = h / 2.0
+    tri = mesh.vertices[mesh.faces]
+    tmin = tri.min(axis=1)
+    tmax = tri.max(axis=1)
+    axes, rad, vpmin, vpmax = voxel._face_sat_tables(tri, half)
+    lo_idx = np.floor((tmin - GRID_LO) / h).astype(np.int64) - 1
+    hi_idx = np.floor((tmax - GRID_LO) / h).astype(np.int64) + 1
+    np.clip(lo_idx, 0, resolution - 1, out=lo_idx)
+    np.clip(hi_idx, 0, resolution - 1, out=hi_idx)
+    spans = hi_idx - lo_idx + 1
+    c = spans.prod(axis=1)
+    pair_face = np.repeat(np.arange(len(c)), c)
+    rank = np.arange(int(c.sum())) - np.repeat(np.concatenate([[0], np.cumsum(c)])[:-1], c)
+    sp = spans[pair_face]
+    lo = lo_idx[pair_face]
+    i = lo[:, 0] + rank % sp[:, 0]
+    j = lo[:, 1] + (rank // sp[:, 0]) % sp[:, 1]
+    k = lo[:, 2] + rank // (sp[:, 0] * sp[:, 1])
+    centers = GRID_LO + (np.stack([i, j, k], axis=1) + 0.5) * h
+    gf = pair_face
+    sep = ((tmin[gf] - centers > half).any(axis=1)
+           | (tmax[gf] - centers < -half).any(axis=1))
+    live = np.flatnonzero(~sep)
+    gf = gf[live]
+    cen = centers[live]
+    sep = np.zeros(len(live), dtype=bool)
+    for a in range(10):
+        ax = axes[gf, a]
+        cp = np.einsum("pi,pi->p", ax, cen)
+        sep |= ((vpmin[gf, a] - cp > rad[gf, a])
+                | (vpmax[gf, a] - cp < -rad[gf, a]))
+    hit = live[~sep]
+    occ = np.zeros((resolution,) * 3, dtype=bool)
+    occ.ravel()[i[hit] + resolution * (j[hit] + resolution * k[hit])] = True
+    return VoxelGrid(resolution, occ)
+
+
+def assert_same_grid(mesh: TriangleMesh, resolution: int) -> None:
+    got = voxelize_surface(mesh, resolution).occupancy
+    want = voxelize_bbox_reference(mesh, resolution).occupancy
+    assert np.array_equal(got, want), f"{int((got != want).sum())} voxels differ"
+
+
+def soup(points) -> TriangleMesh:
+    v = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return TriangleMesh(v, np.arange(len(v)).reshape(-1, 3))
+
+
+class TestSlabPruningBitIdentical:
+    """The pruned voxelizer against the bounding-box reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_synthetic_kinds_under_orientations(self, kind, jit):
+        rng = np.random.default_rng(7)
+        raw = _GENERATORS[kind](rng)
+        mesh = jitter_mesh(raw, JitterConfig(sigma=5.0, seed=7)) if jit else raw
+        for pose in sample_orientations(4, seed=7).orientations:
+            assert_same_grid(normalize_mesh(apply_rotation(mesh, pose)), 30)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 7, 12, 30, 64])
+    @pytest.mark.parametrize("padding", [0.0, 0.05, 0.25])
+    def test_unit_cube(self, resolution, padding):
+        assert_same_grid(normalize_mesh(parse_off(CUBE_OFF), padding=padding), resolution)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("resolution", [5, 16, 33])
+    def test_random_soups(self, seed, resolution):
+        assert_same_grid(random_soup(np.random.default_rng(seed), faces=40), resolution)
+
+    @pytest.mark.parametrize("resolution", [4, 8, 12])
+    def test_degenerate_faces(self, resolution):
+        """Collinear, zero-area and single-point faces; the last two have a
+        normal of exactly 0 and keep their whole column."""
+        mesh = soup([
+            [-0.3, -0.2, 0.1], [0.0, 0.05, 0.1], [0.3, 0.3, 0.1],     # collinear
+            [-0.25, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.0],     # collinear, on planes
+            [0.1, 0.2, -0.3], [0.1, 0.2, -0.3], [0.3, -0.1, 0.2],     # two coincident
+            [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], [0.2, 0.2, 0.2],        # a single point
+            [0.0, -0.25, 0.25], [0.0, -0.25, 0.25], [0.0, -0.25, 0.25],  # a point on corners
+        ])
+        assert_same_grid(mesh, resolution)
+
+    @pytest.mark.parametrize("resolution", [2, 4, 8, 20])
+    def test_faces_on_voxel_boundaries(self, resolution):
+        """Axis-aligned faces in the planes between voxels, with vertices on
+        voxel corners, plus tilted faces through those corners."""
+        g = GRID_LO + np.arange(resolution + 1) / resolution  # voxel boundaries
+        a, b, c = g[0], g[resolution // 2], g[-1]
+        pts = []
+        for w in range(3):
+            for plane in (a, b, c):
+                for tri in (((a, a), (c, a), (a, c)), ((b, a), (c, b), (b, c))):
+                    for p, q in tri:
+                        pt = [0.0, 0.0, 0.0]
+                        pt[w], pt[(w + 1) % 3], pt[(w + 2) % 3] = plane, p, q
+                        pts.append(pt)
+        pts += [[a, a, a], [c, c, a], [b, b, c], [a, b, b], [b, c, a], [c, a, b]]
+        assert_same_grid(soup(pts), resolution)
+
+    @pytest.mark.parametrize("resolution", [8, 30, 64])
+    def test_slivers(self, resolution):
+        """Faces 1e-7 thin, along and across the grid axes and at random."""
+        rng = np.random.default_rng(11)
+        pts = []
+        for _ in range(12):
+            p = rng.uniform(-0.4, 0.4, size=3)
+            d = rng.normal(size=3)
+            pts += [p, p + 0.3 * d / np.linalg.norm(d), p + 1e-7 * rng.normal(size=3)]
+        for w in range(3):
+            e = np.eye(3)[w]
+            pts += [-0.3 * e, 0.3 * e, -0.3 * e + 1e-7 * np.eye(3)[(w + 1) % 3]]
+        assert_same_grid(soup(np.clip(pts, -0.5, 0.5)), resolution)
+
+    def test_chunked_pairs(self, monkeypatch):
+        """A pair cap far below one face's box splits the work into chunks."""
+        mesh = normalize_mesh(_GENERATORS["torus"](np.random.default_rng(3)))
+        monkeypatch.setattr(voxel, "_PAIR_CHUNK", 64)
+        assert_same_grid(mesh, 30)
+
+
 class TestCacheFormat:
     def _grid(self, seed=3, res=30):
         rng = np.random.default_rng(seed)
@@ -182,6 +314,23 @@ class TestCacheFormat:
         blob[-1] |= 0x80  # 125 bits -> 5 pad bits in the last byte
         with pytest.raises(VoxelCacheError):
             read_voxel_cache(bytes(blob))
+
+    def test_fuzzed_voxb_parses_or_raises_voxel_cache_error(self):
+        mesh = normalize_mesh(parse_off(CUBE_OFF))
+        blob = write_voxel_cache(voxelize_surface(mesh, resolution=12))
+        rng = np.random.default_rng(4)
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(400):
+            data = bytearray(blob)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] = int(rng.integers(0, 256))
+            cases.append(bytes(data))
+        for data in cases:
+            try:
+                grid = read_voxel_cache(data)
+            except VoxelCacheError:
+                continue
+            assert grid.occupancy.shape == (grid.resolution,) * 3
 
     def test_empty_grid_refused(self):
         with pytest.raises(ValueError):
