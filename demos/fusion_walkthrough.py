@@ -11,31 +11,22 @@ Usage: python3 fusion_walkthrough.py
 
 import numpy as np
 
-from fusionnet.models import ClassScores
-from fusionnet.pipeline import fit_fusion_weights, fuse_predictions, simplex_grid
+from fusionnet.pipeline import ScoreTable, fit_fusion_weights, fuse_scores, simplex_grid
 
 RNG = np.random.default_rng(5)
 
 
-def component(name: str, strong_on: set[int], labels: dict[str, int]) -> list[ClassScores]:
+def component(name: str, strong_on: set[int], labels: dict[str, int]) -> ScoreTable:
     """Confident and right on `strong_on` classes; mildly wrong elsewhere."""
-    out = []
-    for model_id, label in labels.items():
+    rows = []
+    for label in labels.values():
         scores = RNG.normal(0.0, 0.3, size=2)
         if label in strong_on:
             scores[label] += 3.0  # big, reliable margin
         else:
             scores[1 - label] += 0.8  # small systematic mistake
-        out.append(ClassScores(scores=scores, model_id=model_id, network=name))
-    return out
-
-
-def metric(preds: dict[str, int], labels: dict[str, int]) -> float:
-    per_class = []
-    for cls in (0, 1):
-        ids = [m for m, y in labels.items() if y == cls]
-        per_class.append(sum(preds[m] == labels[m] for m in ids) / len(ids))
-    return sum(per_class) / len(per_class)
+        rows.append(scores)
+    return ScoreTable(name, list(labels), list(labels.values()), rows)
 
 
 def main() -> int:
@@ -47,18 +38,15 @@ def main() -> int:
     print(f"searching {len(grid)} weight vectors on the 2-simplex "
           f"(step 0.05, corners included)")
 
-    fw, val = fit_fusion_weights([a, b], labels, ["even_expert", "odd_expert"])
+    fw, val = fit_fusion_weights([a, b], ["even_expert", "odd_expert"])
     print(f"best weights: {fw.as_dict()}  validation metric {val:.4f}")
 
-    for name, scores in (("even_expert", a), ("odd_expert", b)):
-        alone = metric({s.model_id: int(np.argmax(s.scores)) for s in scores}, labels)
-        print(f"  {name} alone: {alone:.4f}")
-    fused = metric(fuse_predictions([a, b], fw), labels)
+    for table in (a, b):
+        print(f"  {table.network} alone: {table.metric:.4f}")
+    fused = fuse_scores([a, b], fw).metric
     print(f"  fused:             {fused:.4f}")
 
-    assert fused > max(
-        metric({s.model_id: int(np.argmax(s.scores)) for s in scores}, labels)
-        for scores in (a, b)), "expected the mix to beat both corners"
+    assert fused > max(a.metric, b.metric), "expected the mix to beat both corners"
     print("the mixed weights beat both single-component corners")
     return 0
 

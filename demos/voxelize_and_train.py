@@ -44,10 +44,11 @@ def main() -> int:
     spec = BUILDERS["vcnn1"](len(manifest.classes))
     network = Network.initialize(spec, seed=derive_seed(SEED, "init", "vcnn1"))
     print(f"  {spec.name}: {spec.param_count():,} parameters")
-    x, y, _ = load_voxel_dataset(manifest, cache_dir, "train", settings)
+    x, y, _ = load_voxel_dataset(manifest, cache_dir, settings,
+                                 manifest.split_entries("train"))
     cfg = TrainingConfig(epochs=3,
                          optimizer=OptimizerConfig(learning_rate=0.001,
-                                                   momentum=0.9, seed=SEED),
+                                                   momentum=0.9),
                          batch_size=16, seed=SEED)
     for rec in train(network, x, y, cfg, voxels_to_input, name="vcnn1"):
         print(f"  epoch {rec.epoch}: loss {rec.loss:.4f}, "
@@ -56,11 +57,12 @@ def main() -> int:
     print("== evaluation ==")
     # One score vector per model: the network runs on each orientation and
     # features are max-pooled across orientations before the score layer.
-    xt, yt, ids = load_voxel_dataset(manifest, cache_dir, "test", settings)
+    xt, yt, ids = load_voxel_dataset(manifest, cache_dir, settings,
+                                     manifest.split_entries("test"))
     result = evaluate_network(network, xt, yt, ids, manifest.classes,
                               voxels_to_input)
     for cls in manifest.classes:
-        print(f"  {cls:>8s}: {result.per_class[cls]:.4f}")
+        print(f"  {cls:>8s}: {result.per_class(manifest.classes)[cls]:.4f}")
     print(f"  average per-class accuracy: {result.metric:.4f}")
     return 0
 

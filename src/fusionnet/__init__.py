@@ -26,7 +26,6 @@ from .render import (
     make_camera_rig,
     read_pgm,
     render_view,
-    replicate_channels,
     write_pgm,
 )
 from .voxel import (
@@ -61,7 +60,6 @@ __all__ = [
     "make_camera_rig",
     "read_pgm",
     "render_view",
-    "replicate_channels",
     "write_pgm",
     "VoxelCacheError",
     "VoxelGrid",

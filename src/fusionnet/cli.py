@@ -20,24 +20,18 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .models import BUILDERS, Network
+from .models import Network
 from .nn.gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_suite
 from .nn.optim import OptimizerConfig
-from .nn.weights import read_weights, split_checkpoint, write_weights
-from .orientations import derive_seed
-from .pipeline.caches import (CacheSettings, load_view_dataset,
-                              load_voxel_dataset, prepare_caches,
-                              views_to_input, voxels_to_input)
+from .nn.weights import read_weights, split_checkpoint
+from .pipeline.caches import CacheSettings, prepare_caches
 from .pipeline.data import (SHAPE_KINDS, DatasetManifest, ingest_modelnet,
                             make_synthetic_dataset)
-from .pipeline.evaluation import (average_per_class_accuracy, confusion_matrix,
-                                  evaluate_network, read_scores, write_scores)
+from .pipeline.evaluation import ScoreTable, evaluate_network
 from .pipeline.fusion import FusionWeights, fit_fusion_weights, fuse_scores
 from .pipeline.report import ReportRow, render_report
-from .pipeline.run import COMPONENTS
-from .pipeline.training import TrainingConfig, train
+from .pipeline.run import COMPONENTS, component_spec, load_component, train_component
+from .pipeline.training import TrainingConfig
 
 DEFAULTS = {
     "orientations": 60,
@@ -176,58 +170,42 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _component_data(args: argparse.Namespace, manifest: DatasetManifest,
-                    component: str, entries):
-    info = COMPONENTS[component]
-    cache = _cache_dir(args)
-    settings = _settings(args)
-    if info.source == "voxel":
-        x, y, ids = load_voxel_dataset(manifest, cache, "train", settings,
-                                       entries=entries)
-        if info.jitter:
-            xj, yj, _ = load_voxel_dataset(manifest, cache, "train", settings,
-                                           jit=True, entries=entries)
-            x = np.concatenate([x, xj], axis=0)
-            y = np.concatenate([y, yj], axis=0)
-        return x, y, ids, voxels_to_input
-    x, y, ids = load_view_dataset(manifest, cache, "train", settings,
-                                  entries=entries)
-    return x, y, ids, views_to_input
-
-
-def _build_network(args: argparse.Namespace, component: str, class_count: int):
-    info = COMPONENTS[component]
-    if info.source == "view":
-        return BUILDERS[info.builder](class_count, _opt(args, "image_size", int))
-    return BUILDERS[info.builder](class_count)
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
+def _component(args: argparse.Namespace) -> str:
     component = _opt(args, "component")
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {sorted(COMPONENTS)}")
+    return component
+
+
+def _read_table(path: str) -> ScoreTable:
+    if not os.path.exists(path):
+        raise MissingInput(f"score file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return ScoreTable.from_jsonl(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    component = _component(args)
     manifest = _load_manifest(args)
     out = _opt(args, "out")
     os.makedirs(out, exist_ok=True)
-    spec = _build_network(args, component, len(manifest.classes))
     seed = _opt(args, "seed", int)
-    network = Network.initialize(spec, seed=derive_seed(seed, "init", component))
-    x, y, _, to_input = _component_data(args, manifest, component,
-                                        manifest.split_entries("train"))
     tcfg = TrainingConfig(
         epochs=_opt(args, "epochs", int),
         optimizer=OptimizerConfig(learning_rate=_opt(args, "lr", float),
                                   momentum=_opt(args, "momentum", float),
-                                  weight_decay=_opt(args, "weight_decay", float),
-                                  seed=seed),
+                                  weight_decay=_opt(args, "weight_decay", float)),
         batch_size=_opt(args, "batch_size", int),
         seed=seed,
         log_path=os.path.join(out, f"{component}.csv"),
         checkpoint_path=os.path.join(out, f"{component}.ckpt.fnw1"))
-    records = train(network, x, y, tcfg, to_input, name=component)
     weights_path = os.path.join(out, f"{component}.fnw1")
-    with open(weights_path, "wb") as fh:
-        fh.write(write_weights({n: p.data for n, p in network.params.items()}))
+    _, records = train_component(component, manifest, _cache_dir(args), _settings(args),
+                                 manifest.split_entries("train"), tcfg, weights_path)
     last = records[-1]
     print(f"{component}: {len(records)} epochs, final loss {last.loss:.4f}, "
           f"train metric {last.train_metric:.4f}")
@@ -236,14 +214,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    component = _opt(args, "component")
-    if component not in COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; choose from {sorted(COMPONENTS)}")
+    component = _component(args)
     if not os.path.exists(args.weights):
         raise MissingInput(f"weights not found: {args.weights}")
     manifest = _load_manifest(args)
-    info = COMPONENTS[component]
-    spec = _build_network(args, component, len(manifest.classes))
+    settings = _settings(args)
+    spec = component_spec(component, len(manifest.classes), settings.image_size)
     with open(args.weights, "rb") as fh:
         arrays, _ = split_checkpoint(read_weights(fh.read()))
     network = Network.from_arrays(spec, arrays)
@@ -251,21 +227,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     entries = manifest.split_entries(split)
     if not entries:
         raise ValueError(f"no {split!r} entries in manifest")
-    cache = _cache_dir(args)
-    settings = _settings(args)
-    if info.source == "voxel":
-        x, y, ids = load_voxel_dataset(manifest, cache, split, settings, entries=entries)
-        to_input = voxels_to_input
-    else:
-        x, y, ids = load_view_dataset(manifest, cache, split, settings, entries=entries)
-        to_input = views_to_input
-    result = evaluate_network(network, x, y, ids, manifest.classes, to_input)
-    for cls in manifest.classes:
-        print(f"{cls:>12s}  {result.per_class[cls]:.4f}")
-    print(f"{'average':>12s}  {result.metric:.4f}")
+    x, y, ids, to_input = load_component(component, manifest, _cache_dir(args),
+                                         settings, entries)
+    table = evaluate_network(network, x, y, ids, manifest.classes, to_input)
+    for cls, metric in table.per_class(manifest.classes).items():
+        print(f"{cls:>12s}  {metric:.4f}")
+    print(f"{'average':>12s}  {table.metric:.4f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_scores(result.scores, result.labels))
+            fh.write(table.to_jsonl())
         print(f"scores: {args.out}")
     return 0
 
@@ -273,40 +243,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     if len(args.val) != len(args.test):
         raise ValueError("need one --test score file per --val score file")
-    if len(args.val) < 1:
-        raise ValueError("need at least one component")
-    val_sets, test_sets, names = [], [], []
-    val_labels: dict[str, int] = {}
-    test_labels: dict[str, int] = {}
-    for vp, tp in zip(args.val, args.test):
-        for p in (vp, tp):
-            if not os.path.exists(p):
-                raise MissingInput(f"score file not found: {p}")
-        scores_v, labels_v = read_scores(open(vp, encoding="utf-8").read())
-        scores_t, labels_t = read_scores(open(tp, encoding="utf-8").read())
-        if not scores_v or not scores_t:
-            raise ValueError(f"empty score file: {vp if not scores_v else tp}")
-        val_sets.append(scores_v)
-        test_sets.append(scores_t)
-        names.append(scores_v[0].network)
-        val_labels.update(labels_v)
-        test_labels.update(labels_t)
+    val_sets = [_read_table(p) for p in args.val]
+    test_sets = [_read_table(p) for p in args.test]
+    names = [t.network for t in val_sets]
     if len(set(names)) != len(names):
         names = [f"{n}#{i}" for i, n in enumerate(names)]
-    fw, val_metric = fit_fusion_weights(val_sets, val_labels, names,
-                                        step=_opt(args, "step", float),
+    fw, val_metric = fit_fusion_weights(val_sets, names, step=_opt(args, "step", float),
                                         normalize=args.softmax)
     fused = fuse_scores(test_sets, fw, normalize=args.softmax)
-    k = len(fused[0].scores)
-    y_true = np.asarray([test_labels[s.model_id] for s in fused])
-    y_pred = np.asarray([int(np.argmax(s.scores)) for s in fused])
-    test_metric = average_per_class_accuracy(confusion_matrix(y_true, y_pred, k))
     print("fusion weights: " + " ".join(f"{c}={w:.2f}" for c, w in fw.as_dict().items()))
     print(f"validation metric: {val_metric:.4f}")
-    print(f"test metric: {test_metric:.4f}")
+    print(f"test metric: {fused.metric:.4f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_scores(fused, test_labels))
+            fh.write(fused.to_jsonl())
         print(f"fused scores: {args.out}")
     return 0
 

@@ -74,18 +74,6 @@ class NetworkSpec:
         return None
 
 
-@dataclass
-class ClassScores:
-    scores: np.ndarray  # (class_count,) pre-softmax
-    model_id: str
-    network: str
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores).reshape(-1)
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError(f"non-finite scores for {self.model_id}")
-
-
 def build_vcnn1(class_count: int) -> NetworkSpec:
     """Plain volumetric net: two conv stages, one hidden fc, ~3.5M params."""
     return NetworkSpec(
@@ -235,10 +223,10 @@ class Network:
                               training, rng)
         return y
 
-    def forward_views(self, views: np.ndarray, model_id: str = "") -> ClassScores:
-        """Evaluation over a (V, ...) stack of views of one model: run the
-        shared trunk per view, max-pool features across views, finish with
-        the remaining layers."""
+    def forward_views(self, views: np.ndarray) -> np.ndarray:
+        """Class scores (class_count,) of one model from a (V, ...) stack of
+        its views: run the shared trunk per view, max-pool features across
+        views, finish with the remaining layers."""
         if len(views) == 0:
             raise ValueError("forward_views needs at least one view")
         pool = self.spec.pool_index()
@@ -253,14 +241,7 @@ class Network:
             i = pool + 1 + j
             y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec),
                               training=False, rng=None)
-        scores = y.data[0] if y.data.ndim == 2 else y.data
-        return ClassScores(scores=scores, model_id=model_id, network=self.spec.name)
-
-
-def forward_multiview(network: Network, views: np.ndarray | list,
-                      model_id: str = "") -> ClassScores:
-    """Scores for one model from all of its rendered or voxelized views."""
-    return network.forward_views(np.asarray(views), model_id=model_id)
+        return y.data.reshape(-1)
 
 
 def _final_fc_index(spec: NetworkSpec) -> int:

@@ -74,13 +74,9 @@ def view_maxpool() -> LayerSpec:
 def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape of one sample after the layer (batch axis excluded)."""
     if spec.kind == "conv2d":
-        c, h, w = in_shape
-        ho = (h + 2 * spec.padding - spec.filter_size) // spec.stride + 1
-        wo = (w + 2 * spec.padding - spec.filter_size) // spec.stride + 1
-        if ho < 1 or wo < 1 or (h + 2 * spec.padding - spec.filter_size) % spec.stride \
-                or (w + 2 * spec.padding - spec.filter_size) % spec.stride:
-            raise ValueError(f"conv2d geometry invalid on input {in_shape}")
-        return (spec.filter_count, ho, wo)
+        _, h, w = in_shape
+        return (spec.filter_count,
+                *T._conv_geometry(h, w, spec.filter_size, spec.stride, spec.padding))
     if spec.kind == "maxpool2d":
         c, h, w = in_shape
         if h % spec.filter_size or w % spec.filter_size:

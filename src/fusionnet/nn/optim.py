@@ -14,7 +14,6 @@ class OptimizerConfig:
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -38,9 +38,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"

@@ -6,11 +6,9 @@ from .caches import (CacheReport, CacheSettings, load_view_dataset,
                      views_to_input, voxels_to_input)
 from .data import (SHAPE_KINDS, DatasetManifest, ManifestEntry, ingest_modelnet,
                    make_icosphere, make_synthetic_dataset)
-from .evaluation import (EvalResult, average_per_class_accuracy,
-                         confusion_matrix, evaluate_network, read_scores,
-                         write_scores)
-from .fusion import (FusionWeights, fit_fusion_weights, fuse_predictions,
-                     fuse_scores, simplex_grid)
+from .evaluation import (ScoreTable, average_per_class_accuracy,
+                         confusion_matrix, evaluate_network)
+from .fusion import FusionWeights, fit_fusion_weights, fuse_scores, simplex_grid
 from .report import ReportRow, render_report
 from .run import (COMPONENTS, DEFAULT_COMPONENTS, RunConfig, run_pipeline,
                   split_fusion_validation)
@@ -21,10 +19,9 @@ __all__ = [
     "model_orientations", "prepare_caches", "views_to_input", "voxels_to_input",
     "SHAPE_KINDS", "DatasetManifest", "ManifestEntry", "ingest_modelnet",
     "make_icosphere", "make_synthetic_dataset",
-    "EvalResult", "average_per_class_accuracy", "confusion_matrix",
-    "evaluate_network", "read_scores", "write_scores",
-    "FusionWeights", "fit_fusion_weights", "fuse_predictions", "fuse_scores",
-    "simplex_grid",
+    "ScoreTable", "average_per_class_accuracy", "confusion_matrix",
+    "evaluate_network",
+    "FusionWeights", "fit_fusion_weights", "fuse_scores", "simplex_grid",
     "ReportRow", "render_report",
     "COMPONENTS", "DEFAULT_COMPONENTS", "RunConfig", "run_pipeline",
     "split_fusion_validation",

@@ -10,7 +10,8 @@ Layout under the cache directory:
 Preparation is idempotent: files that exist and pass their header check are
 skipped; corrupt or wrong-shape files are regenerated in place. When the
 manifest's settings line differs from the current settings, every file is
-stale and is regenerated; with no manifest (an interrupted first
+stale and is regenerated, and voxel files of orientations past the current
+count are removed; with no manifest (an interrupted first
 preparation) the header check alone decides, so a resume keeps its work.
 All writes go through a temp file + rename. Model ids may contain '/'
 (ModelNet); path separators are flattened to '__' in file names.
@@ -147,6 +148,12 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
                 turned = normalize_mesh(apply_rotation(mesh, o))
                 grid = voxelize_surface(turned, resolution=settings.resolution)
                 _replace_file(path, write_voxel_cache(grid), report)
+        if stale:  # orientations past the current count are no longer named
+            for jit in (False, True):
+                k = settings.orientation_count
+                while os.path.exists(path := os.path.join(cache_dir, voxel_rel(model_id, k, jit))):
+                    os.remove(path)
+                    k += 1
 
         if include_views:
             rig = make_camera_rig(settings.image_size)
@@ -237,21 +244,18 @@ def _prepare_model_star(task) -> CacheReport:
     return _prepare_model(*task)
 
 
-def load_voxel_dataset(manifest: DatasetManifest, cache_dir: str, split: str,
-                       settings: CacheSettings, jit: bool = False,
-                       entries: list[ManifestEntry] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def load_voxel_dataset(manifest: DatasetManifest, cache_dir: str,
+                       settings: CacheSettings, entries: list[ManifestEntry],
+                       jit: bool = False) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Stack (samples, res, res, res) uint8 occupancy with integer labels.
-    Samples are grouped per model in manifest order, orientation-major, so
+    Samples are grouped per model in ``entries`` order, orientation-major, so
     rows [m*N, (m+1)*N) are the N views of model m."""
-    chosen = entries if entries is not None else manifest.split_entries(split)
     res = settings.resolution
     n = settings.orientation_count
-    x = np.empty((len(chosen) * n, res, res, res), dtype=np.uint8)
-    y = np.empty(len(chosen) * n, dtype=np.int64)
-    ids = []
-    for mi, e in enumerate(chosen):
-        ids.append(e.model_id)
+    x = np.empty((len(entries) * n, res, res, res), dtype=np.uint8)
+    y = np.empty(len(entries) * n, dtype=np.int64)
+    ids = [e.model_id for e in entries]
+    for mi, e in enumerate(entries):
         label = manifest.label_index(e.class_label)
         for k in range(n):
             with open(os.path.join(cache_dir, voxel_rel(e.model_id, k, jit)), "rb") as fh:
@@ -261,19 +265,16 @@ def load_voxel_dataset(manifest: DatasetManifest, cache_dir: str, split: str,
     return x, y, ids
 
 
-def load_view_dataset(manifest: DatasetManifest, cache_dir: str, split: str,
-                      settings: CacheSettings,
-                      entries: list[ManifestEntry] | None = None
+def load_view_dataset(manifest: DatasetManifest, cache_dir: str,
+                      settings: CacheSettings, entries: list[ManifestEntry]
                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Stack (samples, size, size) uint8 grayscale with integer labels,
     grouped per model, view-major (20 views per model)."""
-    chosen = entries if entries is not None else manifest.split_entries(split)
     s = settings.image_size
-    x = np.empty((len(chosen) * 20, s, s), dtype=np.uint8)
-    y = np.empty(len(chosen) * 20, dtype=np.int64)
-    ids = []
-    for mi, e in enumerate(chosen):
-        ids.append(e.model_id)
+    x = np.empty((len(entries) * 20, s, s), dtype=np.uint8)
+    y = np.empty(len(entries) * 20, dtype=np.int64)
+    ids = [e.model_id for e in entries]
+    for mi, e in enumerate(entries):
         label = manifest.label_index(e.class_label)
         for v in range(20):
             with open(os.path.join(cache_dir, view_rel(e.model_id, v)), "rb") as fh:

@@ -1,8 +1,9 @@
 """Model evaluation: per-model view pooling, the average per-class accuracy
-metric, and a line-based score interchange format.
+metric, and the score table that evaluation, fusion and the CLI share.
 
-Scores are pre-activation class scores (one vector per model), serialized as
-JSON lines so downstream fusion can consume them without re-running networks.
+A ScoreTable holds one network's pre-activation class scores on one split,
+one row per model. Its JSON-lines form lets fusion consume scores without
+re-running networks.
 """
 
 from __future__ import annotations
@@ -13,19 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..models import ClassScores, Network, forward_multiview
-
-
-@dataclass
-class EvalResult:
-    metric: float
-    per_class: dict[str, float]
-    confusion: np.ndarray
-    scores: list[ClassScores]
-    labels: dict[str, int]
-
-    def predictions(self) -> dict[str, int]:
-        return {s.model_id: int(np.argmax(s.scores)) for s in self.scores}
+from ..models import Network
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
@@ -53,10 +42,66 @@ def average_per_class_accuracy(confusion: np.ndarray) -> float:
     return float(recall.mean())
 
 
+@dataclass
+class ScoreTable:
+    """Row i holds the float64 class scores and the label of model ids[i]."""
+    network: str
+    ids: list[str]
+    labels: np.ndarray  # (models,) int64
+    matrix: np.ndarray  # (models, classes) float64, pre-softmax
+
+    def __post_init__(self):
+        self.ids = list(self.ids)
+        self.labels = np.array(self.labels, dtype=np.int64)
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if (self.matrix.ndim != 2 or len(self.matrix) != len(self.ids)
+                or self.labels.shape != (len(self.ids),)):
+            raise ValueError("need one score row and one label per model id")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError(f"duplicate model ids in {self.network} scores")
+        bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
+        if len(bad):
+            raise ValueError(f"non-finite scores for {self.ids[bad[0]]}")
+
+    def take(self, mask: np.ndarray) -> "ScoreTable":
+        return ScoreTable(self.network, [self.ids[i] for i in np.flatnonzero(mask)],
+                          self.labels[mask], self.matrix[mask])
+
+    def _confusion(self) -> np.ndarray:
+        return confusion_matrix(self.labels, np.argmax(self.matrix, axis=1),
+                                self.matrix.shape[1])
+
+    @property
+    def metric(self) -> float:
+        return average_per_class_accuracy(self._confusion())
+
+    def per_class(self, classes: Sequence[str]) -> dict[str, float]:
+        cm = self._confusion()
+        totals = cm.sum(axis=1)
+        return {c: (float(cm[i, i] / totals[i]) if totals[i] else float("nan"))
+                for i, c in enumerate(classes)}
+
+    def to_jsonl(self) -> str:
+        return "".join(json.dumps({"label": int(y), "model_id": m, "network": self.network,
+                                   "scores": [float(v) for v in row]}, sort_keys=True) + "\n"
+                       for m, y, row in zip(self.ids, self.labels, self.matrix))
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> "ScoreTable":
+        recs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        if not recs:
+            raise ValueError("no score rows")
+        networks = {r["network"] for r in recs}
+        if len(networks) != 1:
+            raise ValueError(f"score rows from several networks: {sorted(networks)}")
+        return cls(recs[0]["network"], [r["model_id"] for r in recs],
+                   [int(r["label"]) for r in recs], [r["scores"] for r in recs])
+
+
 def evaluate_network(network: Network, x: np.ndarray, y: np.ndarray,
                      ids: Sequence[str], classes: Sequence[str],
-                     to_input: Callable[[np.ndarray], np.ndarray]) -> EvalResult:
-    """Score every model from its grouped sample block and tally the metric.
+                     to_input: Callable[[np.ndarray], np.ndarray]) -> ScoreTable:
+    """Score every model from its grouped sample block.
 
     ``x`` holds ``len(ids)`` equal consecutive groups (orientations or views)
     and ``y`` one label per group element, constant within a group.
@@ -68,48 +113,11 @@ def evaluate_network(network: Network, x: np.ndarray, y: np.ndarray,
     if len(ids) == 0 or len(x) % len(ids) != 0:
         raise ValueError("sample count is not a multiple of the model count")
     group = len(x) // len(ids)
-    scores: list[ClassScores] = []
-    labels: dict[str, int] = {}
-    y_true = np.empty(len(ids), dtype=np.int64)
-    y_pred = np.empty(len(ids), dtype=np.int64)
+    labels = y[::group]
+    matrix = np.empty((len(ids), k))
     for m, model_id in enumerate(ids):
         block = slice(m * group, (m + 1) * group)
-        yb = y[block]
-        if not (yb == yb[0]).all():
+        if not (y[block] == labels[m]).all():
             raise ValueError(f"inconsistent labels within group for {model_id!r}")
-        sc = forward_multiview(network, to_input(x[block]), model_id)
-        scores.append(sc)
-        labels[model_id] = int(yb[0])
-        y_true[m] = yb[0]
-        y_pred[m] = int(np.argmax(sc.scores))
-    cm = confusion_matrix(y_true, y_pred, k)
-    totals = cm.sum(axis=1)
-    per_class = {c: (float(cm[i, i] / totals[i]) if totals[i] else float("nan"))
-                 for i, c in enumerate(classes)}
-    return EvalResult(metric=average_per_class_accuracy(cm), per_class=per_class,
-                      confusion=cm, scores=scores, labels=labels)
-
-
-def write_scores(scores: Sequence[ClassScores], labels: dict[str, int]) -> str:
-    lines = []
-    for s in scores:
-        lines.append(json.dumps({"label": labels[s.model_id],
-                                 "model_id": s.model_id,
-                                 "network": s.network,
-                                 "scores": [float(v) for v in s.scores]},
-                                sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def read_scores(text: str) -> tuple[list[ClassScores], dict[str, int]]:
-    scores: list[ClassScores] = []
-    labels: dict[str, int] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        scores.append(ClassScores(scores=np.asarray(rec["scores"], dtype=np.float64),
-                                  model_id=rec["model_id"],
-                                  network=rec["network"]))
-        labels[rec["model_id"]] = int(rec["label"])
-    return scores, labels
+        matrix[m] = network.forward_views(to_input(x[block]))
+    return ScoreTable(network.spec.name, ids, labels, matrix)

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..models import ClassScores
-from .evaluation import average_per_class_accuracy, confusion_matrix
+from ..nn.tensor import softmax_probs
+from .evaluation import ScoreTable, average_per_class_accuracy, confusion_matrix
 
 
 @dataclass
@@ -64,63 +64,47 @@ def simplex_grid(n: int, step: float = 0.05) -> np.ndarray:
     return grid
 
 
-def _softmax_rows(mat: np.ndarray) -> np.ndarray:
-    shifted = mat - mat.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _score_matrix(per_component: Sequence[Sequence[ClassScores]]
-                  ) -> tuple[np.ndarray, list[str]]:
-    """Stack scores into (components, models, classes), aligned by model id."""
-    if not per_component or not per_component[0]:
+def _stack(tables: Sequence[ScoreTable]) -> tuple[np.ndarray, ScoreTable]:
+    """Scores as (components, models, classes) in the first table's row order,
+    with that table; every table must score the same models, labeled alike."""
+    if not tables or not tables[0].ids:
         raise ValueError("need scores from at least one component")
-    ids = [s.model_id for s in per_component[0]]
-    order = {m: i for i, m in enumerate(ids)}
-    k = len(per_component[0][0].scores)
-    mat = np.empty((len(per_component), len(ids), k), dtype=np.float64)
-    for c, scores in enumerate(per_component):
-        seen = set()
-        for s in scores:
-            if s.model_id not in order:
-                raise ValueError(f"component {c} scored unknown model {s.model_id!r}")
-            if len(s.scores) != k:
-                raise ValueError(f"class count mismatch for {s.model_id!r}")
-            mat[c, order[s.model_id]] = s.scores
-            seen.add(s.model_id)
-        if len(seen) != len(ids):
-            missing = sorted(set(ids) - seen)[:5]
+    first = tables[0]
+    order = {m: i for i, m in enumerate(first.ids)}
+    mat = np.empty((len(tables),) + first.matrix.shape)
+    for c, t in enumerate(tables):
+        if t.matrix.shape[1] != first.matrix.shape[1]:
+            raise ValueError(f"class count mismatch between components 0 and {c}")
+        unknown = [m for m in t.ids if m not in order]
+        if unknown:
+            raise ValueError(f"component {c} scored unknown model {unknown[0]!r}")
+        if len(t.ids) != len(first.ids):
+            missing = sorted(set(first.ids) - set(t.ids))[:5]
             raise ValueError(f"component {c} is missing scores for {missing}")
-    return mat, ids
+        rows = [order[m] for m in t.ids]
+        differ = np.flatnonzero(first.labels[rows] != t.labels)
+        if len(differ):
+            raise ValueError(f"components 0 and {c} disagree on the label of "
+                             f"{t.ids[differ[0]]!r}")
+        mat[c, rows] = t.matrix
+    return mat, first
 
 
-def fuse_scores(per_component: Sequence[Sequence[ClassScores]],
-                fusion: FusionWeights, normalize: bool = False) -> list[ClassScores]:
+def fuse_scores(tables: Sequence[ScoreTable], fusion: FusionWeights,
+                normalize: bool = False) -> ScoreTable:
     """Weighted sum of component scores per model. With ``normalize`` each
     component's scores pass through softmax first (comparison mode); the
     default fuses raw pre-softmax scores."""
-    mat, ids = _score_matrix(per_component)
+    mat, first = _stack(tables)
     if mat.shape[0] != len(fusion.components):
         raise ValueError("component count does not match fusion weights")
     if normalize:
-        mat = _softmax_rows(mat)
+        mat = softmax_probs(mat)
     w = np.asarray(fusion.weights)
-    fused = np.tensordot(w, mat, axes=1)
-    return [ClassScores(scores=fused[i], model_id=m, network="fusion")
-            for i, m in enumerate(ids)]
+    return ScoreTable("fusion", first.ids, first.labels, np.tensordot(w, mat, axes=1))
 
 
-def fuse_predictions(per_component: Sequence[Sequence[ClassScores]],
-                     fusion: FusionWeights, normalize: bool = False
-                     ) -> dict[str, int]:
-    """Predicted class per model: argmax of the fused scores, ties toward the
-    lowest class index."""
-    return {s.model_id: int(np.argmax(s.scores))
-            for s in fuse_scores(per_component, fusion, normalize=normalize)}
-
-
-def fit_fusion_weights(per_component: Sequence[Sequence[ClassScores]],
-                       labels: dict[str, int], components: Sequence[str],
+def fit_fusion_weights(tables: Sequence[ScoreTable], components: Sequence[str],
                        step: float = 0.05, normalize: bool = False
                        ) -> tuple[FusionWeights, float]:
     """Pick simplex weights maximizing validation average per-class accuracy.
@@ -129,12 +113,11 @@ def fit_fusion_weights(per_component: Sequence[Sequence[ClassScores]],
     fixed; among metric ties the most uniform vector (smallest variance,
     then grid order) wins.
     """
-    mat, ids = _score_matrix(per_component)
+    mat, first = _stack(tables)
     if mat.shape[0] != len(components):
         raise ValueError("component count does not match score sets")
     if normalize:
-        mat = _softmax_rows(mat)
-    y_true = np.asarray([labels[m] for m in ids], dtype=np.int64)
+        mat = softmax_probs(mat)
     k = mat.shape[2]
     grid = simplex_grid(len(components), step=step)
     # (grid, models, classes) -> argmax class per candidate weight vector.
@@ -142,7 +125,7 @@ def fit_fusion_weights(per_component: Sequence[Sequence[ClassScores]],
     preds = np.argmax(fused, axis=2)
     best = None
     for g in range(len(grid)):
-        cm = confusion_matrix(y_true, preds[g], k)
+        cm = confusion_matrix(first.labels, preds[g], k)
         metric = average_per_class_accuracy(cm)
         key = (-metric, float(np.var(grid[g])), g)
         if best is None or key < best[0]:

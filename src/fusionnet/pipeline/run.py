@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..models import BUILDERS, Network
+from ..models import BUILDERS, Network, NetworkSpec
 from ..nn.optim import OptimizerConfig
 from ..nn.weights import write_weights
 from ..orientations import derive_seed
@@ -35,10 +35,10 @@ from ..render import VIEW_COUNT
 from .caches import (CacheSettings, load_view_dataset, load_voxel_dataset,
                      prepare_caches, views_to_input, voxels_to_input)
 from .data import DatasetManifest, ManifestEntry, ingest_modelnet, make_synthetic_dataset
-from .evaluation import EvalResult, evaluate_network, write_scores
-from .fusion import FusionWeights, fit_fusion_weights, fuse_scores
+from .evaluation import ScoreTable, evaluate_network
+from .fusion import fit_fusion_weights, fuse_scores
 from .report import ReportRow, render_report
-from .training import TrainingConfig, train
+from .training import EpochRecord, TrainingConfig, train
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,43 @@ class RunConfig:
             raise ValueError("provide exactly one of data_root or a synthetic spec")
 
 
+def component_spec(name: str, class_count: int, image_size: int) -> NetworkSpec:
+    info = COMPONENTS[name]
+    if info.source == "view":
+        return BUILDERS[info.builder](class_count, image_size)
+    return BUILDERS[info.builder](class_count)
+
+
+def load_component(name: str, manifest: DatasetManifest, cache_dir: str,
+                   settings: CacheSettings, entries: list[ManifestEntry],
+                   training: bool = False):
+    """(x, y, ids, to_input) of a component's cached samples for ``entries``;
+    a jitter component trains on the jittered copy appended to the plain one."""
+    if COMPONENTS[name].source == "view":
+        return (*load_view_dataset(manifest, cache_dir, settings, entries), views_to_input)
+    x, y, ids = load_voxel_dataset(manifest, cache_dir, settings, entries)
+    if training and COMPONENTS[name].jitter:
+        xj, yj, _ = load_voxel_dataset(manifest, cache_dir, settings, entries, jit=True)
+        x = np.concatenate([x, xj], axis=0)
+        y = np.concatenate([y, yj], axis=0)
+    return x, y, ids, voxels_to_input
+
+
+def train_component(name: str, manifest: DatasetManifest, cache_dir: str,
+                    settings: CacheSettings, entries: list[ManifestEntry],
+                    tcfg: TrainingConfig, weights_path: str
+                    ) -> tuple[Network, list[EpochRecord]]:
+    """Initialize, train on ``entries`` and write the final weights."""
+    spec = component_spec(name, len(manifest.classes), settings.image_size)
+    network = Network.initialize(spec, seed=derive_seed(tcfg.seed, "init", name))
+    x, y, _, to_input = load_component(name, manifest, cache_dir, settings, entries,
+                                       training=True)
+    records = train(network, x, y, tcfg, to_input, name=name)
+    with open(weights_path, "wb") as fh:
+        fh.write(write_weights({n: p.data for n, p in network.params.items()}))
+    return network, records
+
+
 def split_fusion_validation(manifest: DatasetManifest, seed: int
                             ) -> tuple[list[ManifestEntry], list[ManifestEntry]]:
     """Carve a stratified 20% of training models per class for fusion weight
@@ -116,28 +153,15 @@ def split_fusion_validation(manifest: DatasetManifest, seed: int
     return core, val
 
 
-def _subsample_validation(val_scores: dict[str, list], labels: dict[str, int],
-                          seed: int) -> list[str]:
-    """Stratified ~75% subset of validation model ids (>= 1 per class)."""
-    by_class: dict[int, list[str]] = {}
-    first = next(iter(val_scores.values()))
-    for s in first:
-        by_class.setdefault(labels[s.model_id], []).append(s.model_id)
-    keep: list[str] = []
-    for cls in sorted(by_class):
-        ids = by_class[cls]
-        n = max(1, math.ceil(len(ids) * 0.75))
+def _subsample_validation(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Row mask of a stratified ~75% subset of validation models (>= 1 per class)."""
+    keep = np.zeros(len(labels), dtype=bool)
+    for cls in np.unique(labels).tolist():
+        rows = np.flatnonzero(labels == cls)
+        n = max(1, math.ceil(len(rows) * 0.75))
         rng = np.random.default_rng(derive_seed(seed, "fusionboot", str(cls)))
-        picked = rng.permutation(len(ids))[:n]
-        keep.extend(ids[i] for i in sorted(picked.tolist()))
+        keep[rows[rng.permutation(len(rows))[:n]]] = True
     return keep
-
-
-def _metric_from_scores(scores, labels: dict[str, int], class_count: int) -> float:
-    from .evaluation import average_per_class_accuracy, confusion_matrix
-    y_true = np.asarray([labels[s.model_id] for s in scores], dtype=np.int64)
-    y_pred = np.asarray([int(np.argmax(s.scores)) for s in scores], dtype=np.int64)
-    return average_per_class_accuracy(confusion_matrix(y_true, y_pred, class_count))
 
 
 def _resolve_manifest(cfg: RunConfig) -> DatasetManifest:
@@ -159,7 +183,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
     manifest = _resolve_manifest(cfg)
     classes = manifest.classes
-    k = len(classes)
 
     cache_dir = cfg.cache_dir or os.path.join(cfg.out_dir, "cache")
     settings = CacheSettings(orientation_count=cfg.orientation_count,
@@ -167,12 +190,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
                              image_size=cfg.image_size,
                              seed=cfg.seed,
                              jitter_sigma=cfg.jitter_sigma)
-    infos = {name: COMPONENTS[name] for name in cfg.components}
+    infos = [COMPONENTS[name] for name in cfg.components]
     report = prepare_caches(
         manifest, cache_dir, settings,
-        include_voxels=any(i.source == "voxel" for i in infos.values()),
-        include_views=any(i.source == "view" for i in infos.values()),
-        include_jitter=any(i.jitter for i in infos.values()),
+        include_voxels=any(i.source == "voxel" for i in infos),
+        include_views=any(i.source == "view" for i in infos),
+        include_jitter=any(i.jitter for i in infos),
         jobs=cfg.jobs)
     if report.failures:
         raise RuntimeError("cache preparation failed for: "
@@ -180,13 +203,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     core, val = split_fusion_validation(manifest, cfg.seed)
     test = manifest.split_entries("test")
-
-    def load(source: str, entries, jit: bool = False):
-        if source == "voxel":
-            return load_voxel_dataset(manifest, cache_dir, "train", settings,
-                                      jit=jit, entries=entries)
-        return load_view_dataset(manifest, cache_dir, "train", settings,
-                                 entries=entries)
 
     component_rows: list[ReportRow] = []
     metrics: dict = {
@@ -202,93 +218,60 @@ def run_pipeline(cfg: RunConfig) -> dict:
                      "seed": cfg.seed},
         "components": {},
     }
-    val_scores: dict[str, list] = {}
-    test_scores: dict[str, list] = {}
-    val_labels: dict[str, int] = {}
-    test_labels: dict[str, int] = {}
-
+    tcfg = TrainingConfig(
+        epochs=cfg.epochs,
+        optimizer=OptimizerConfig(learning_rate=cfg.learning_rate,
+                                  momentum=cfg.momentum,
+                                  weight_decay=cfg.weight_decay),
+        batch_size=cfg.batch_size,
+        lr_step_epochs=cfg.lr_step_epochs,
+        lr_decay=cfg.lr_decay,
+        seed=cfg.seed)
+    tables: dict[str, list[ScoreTable]] = {"val": [], "test": []}
     for name in cfg.components:
-        info = infos[name]
-        if info.source == "view":
-            spec = BUILDERS[info.builder](k, cfg.image_size)
-        else:
-            spec = BUILDERS[info.builder](k)
-        network = Network.initialize(spec, seed=derive_seed(cfg.seed, "init", name))
-        x, y, _ = load(info.source, core)
-        if info.jitter:
-            xj, yj, _ = load(info.source, core, jit=True)
-            x = np.concatenate([x, xj], axis=0)
-            y = np.concatenate([y, yj], axis=0)
-        to_input = voxels_to_input if info.source == "voxel" else views_to_input
-        tcfg = TrainingConfig(
-            epochs=cfg.epochs,
-            optimizer=OptimizerConfig(learning_rate=cfg.learning_rate,
-                                      momentum=cfg.momentum,
-                                      weight_decay=cfg.weight_decay,
-                                      seed=cfg.seed),
-            batch_size=cfg.batch_size,
-            lr_step_epochs=cfg.lr_step_epochs,
-            lr_decay=cfg.lr_decay,
-            seed=cfg.seed,
-            log_path=os.path.join(cfg.out_dir, "logs", f"{name}.csv"),
-            checkpoint_path=os.path.join(cfg.out_dir, "checkpoints",
-                                         f"{name}.fnw1"))
-        records = train(network, x, y, tcfg, to_input, name=name)
-        with open(os.path.join(cfg.out_dir, "weights", f"{name}.fnw1"), "wb") as fh:
-            fh.write(write_weights({n: p.data for n, p in network.params.items()}))
-
+        network, records = train_component(
+            name, manifest, cache_dir, settings, core,
+            replace(tcfg, log_path=os.path.join(cfg.out_dir, "logs", f"{name}.csv"),
+                    checkpoint_path=os.path.join(cfg.out_dir, "checkpoints", f"{name}.fnw1")),
+            os.path.join(cfg.out_dir, "weights", f"{name}.fnw1"))
         entry: dict = {"train_metric": records[-1].train_metric,
                        "final_loss": records[-1].loss}
         for split_name, entries in (("val", val), ("test", test)):
-            if info.source == "voxel":
-                xs, ys, ids = load_voxel_dataset(manifest, cache_dir, "train",
-                                                 settings, entries=entries)
-            else:
-                xs, ys, ids = load_view_dataset(manifest, cache_dir, "train",
-                                                settings, entries=entries)
-            result: EvalResult = evaluate_network(network, xs, ys, ids, classes,
-                                                  to_input)
+            x, y, ids, to_input = load_component(name, manifest, cache_dir, settings, entries)
+            table = evaluate_network(network, x, y, ids, classes, to_input)
             path = os.path.join(cfg.out_dir, "scores", f"{name}_{split_name}.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(write_scores(result.scores, result.labels))
-            entry[split_name] = result.metric
-            entry[f"{split_name}_per_class"] = result.per_class
-            if split_name == "val":
-                val_scores[name] = result.scores
-                val_labels.update(result.labels)
-            else:
-                test_scores[name] = result.scores
-                test_labels.update(result.labels)
-        views = cfg.orientation_count if info.source == "voxel" else VIEW_COUNT
+                fh.write(table.to_jsonl())
+            entry[split_name] = table.metric
+            entry[f"{split_name}_per_class"] = table.per_class(classes)
+            tables[split_name].append(table)
+        views = cfg.orientation_count if COMPONENTS[name].source == "voxel" else VIEW_COUNT
         entry["views"] = views
         metrics["components"][name] = entry
         component_rows.append(ReportRow(network=name, views=views,
                                         metric=entry["test"]))
+        del network  # frees its parameters and gradients before the next one trains
 
     names = list(cfg.components)
-    fw, fused_val = fit_fusion_weights([val_scores[n] for n in names],
-                                       val_labels, names, step=cfg.fusion_step,
+    fw, fused_val = fit_fusion_weights(tables["val"], names, step=cfg.fusion_step,
                                        normalize=cfg.softmax_fusion)
-    fused_test_scores = fuse_scores([test_scores[n] for n in names], fw,
-                                    normalize=cfg.softmax_fusion)
-    fused_test = _metric_from_scores(fused_test_scores, test_labels, k)
+    fused = fuse_scores(tables["test"], fw, normalize=cfg.softmax_fusion)
+    fused_test = fused.metric
     with open(os.path.join(cfg.out_dir, "scores", "fusion_test.jsonl"), "w",
               encoding="utf-8") as fh:
-        fh.write(write_scores(fused_test_scores, test_labels))
+        fh.write(fused.to_jsonl())
 
     comp_test = [metrics["components"][n]["test"] for n in names]
     seed_metrics: list[float] = []
     wins = 0
     for s in range(cfg.fusion_seeds):
-        keep = set(_subsample_validation(val_scores, val_labels,
-                                         derive_seed(cfg.seed, "fusionfit", str(s))))
-        sub = [[sc for sc in val_scores[n] if sc.model_id in keep] for n in names]
-        fw_s, _ = fit_fusion_weights(sub, val_labels, names,
+        # every table of a split scores the same entries in the same row order
+        keep = _subsample_validation(tables["val"][0].labels,
+                                     derive_seed(cfg.seed, "fusionfit", str(s)))
+        fw_s, _ = fit_fusion_weights([t.take(keep) for t in tables["val"]], names,
                                      step=cfg.fusion_step,
                                      normalize=cfg.softmax_fusion)
-        fused_s = fuse_scores([test_scores[n] for n in names], fw_s,
-                              normalize=cfg.softmax_fusion)
-        m = _metric_from_scores(fused_s, test_labels, k)
+        m = fuse_scores(tables["test"], fw_s, normalize=cfg.softmax_fusion).metric
         seed_metrics.append(m)
         wins += int(all(m >= c for c in comp_test))
 

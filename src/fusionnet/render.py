@@ -178,11 +178,6 @@ def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> ViewImag
     return ViewImage(fb, view_index)
 
 
-def replicate_channels(img: ViewImage) -> np.ndarray:
-    """Stack the grayscale image into 3 identical channels, shape (3, S, S)."""
-    return np.repeat(img.pixels[None, :, :], 3, axis=0)
-
-
 def write_pgm(img: ViewImage) -> bytes:
     """Binary PGM (P5), maxval 255; intensity quantized by round-half-to-even."""
     gray = np.rint(img.pixels * 255.0).astype(np.uint8)

@@ -12,7 +12,7 @@ from conftest import record_criterion, record_skip
 
 from fusionnet.mesh import TriangleMesh, normalize_mesh
 from fusionnet.models import (Network, adapt_head, build_mvnet, build_vcnn1,
-                              build_vcnn2, forward_multiview)
+                              build_vcnn2)
 from fusionnet.nn.gradcheck import run_suite
 from fusionnet.nn.optim import OptimizerConfig
 from fusionnet.nn.weights import read_weights
@@ -168,10 +168,9 @@ def test_criterion_06_view_pooling_permutation_invariance():
     network = Network.initialize(build_mvnet(10, 64), seed=11)
     rng = np.random.default_rng(6)
     views = rng.random((20, 3, 64, 64)).astype(np.float32)
-    base = forward_multiview(network, views).scores
+    base = network.forward_views(views)
     stable = all(
-        np.array_equal(base,
-                       forward_multiview(network, views[rng.permutation(20)]).scores)
+        np.array_equal(base, network.forward_views(views[rng.permutation(20)]))
         for _ in range(100))
     elapsed = time.perf_counter() - t0
     ok = stable and elapsed < 30.0
@@ -222,10 +221,8 @@ def test_criterion_08_fine_tuning_halves_convergence(desk_run):
     settings = CacheSettings(orientation_count=12, resolution=30,
                              image_size=64, seed=7)
     cache = str(out / "cache")
-    x_tr, y_tr, _ = load_voxel_dataset(sub, cache, "train", settings,
-                                       entries=train_entries)
-    x_te, y_te, ids = load_voxel_dataset(sub, cache, "test", settings,
-                                         entries=test_entries)
+    x_tr, y_tr, _ = load_voxel_dataset(sub, cache, settings, train_entries)
+    x_te, y_te, ids = load_voxel_dataset(sub, cache, settings, test_entries)
 
     with open(out / "weights" / "vcnn1.fnw1", "rb") as fh:
         parent = read_weights(fh.read())
@@ -239,8 +236,7 @@ def test_criterion_08_fine_tuning_halves_convergence(desk_run):
         history = []
         cfg = TrainingConfig(
             epochs=cap,
-            optimizer=OptimizerConfig(learning_rate=0.001, momentum=0.9,
-                                      seed=7),
+            optimizer=OptimizerConfig(learning_rate=0.001, momentum=0.9),
             batch_size=32, seed=7)
         train(network, x_tr, y_tr, cfg, voxels_to_input, name=tag,
               after_epoch=lambda net, _: history.append(
@@ -305,17 +301,17 @@ def test_criterion_10_optional_modelnet40(tmp_path):
                              image_size=64, seed=7)
     prepare_caches(manifest, str(tmp_path / "cache"), settings,
                    include_views=False)
-    x, y, _ = load_voxel_dataset(manifest, str(tmp_path / "cache"), "train",
-                                 settings)
+    x, y, _ = load_voxel_dataset(manifest, str(tmp_path / "cache"), settings,
+                                 manifest.split_entries("train"))
     network = Network.initialize(build_vcnn1(len(manifest.classes)),
                                  seed=derive_seed(7, "init", "vcnn1"))
     cfg = TrainingConfig(epochs=1,
                          optimizer=OptimizerConfig(learning_rate=0.001,
-                                                   momentum=0.9, seed=7),
+                                                   momentum=0.9),
                          batch_size=32, seed=7)
     train(network, x, y, cfg, voxels_to_input, name="vcnn1")
-    xt, yt, ids = load_voxel_dataset(manifest, str(tmp_path / "cache"), "test",
-                                     settings)
+    xt, yt, ids = load_voxel_dataset(manifest, str(tmp_path / "cache"), settings,
+                                     manifest.split_entries("test"))
     result = evaluate_network(network, xt, yt, ids, manifest.classes,
                               voxels_to_input)
     text = render_report("3D shape classification",

@@ -12,7 +12,7 @@ import pytest
 
 from fusionnet.cli import DEFAULTS, main
 from fusionnet.nn.gradcheck import CASES
-from fusionnet.pipeline import read_scores
+from fusionnet.pipeline import ScoreTable
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 
@@ -271,16 +271,28 @@ class TestTrainEvalFuse:
         assert "box" in out and "sphere" in out and "average" in out
         assert self.eval_split(cli_workspace, "test", test_path) == 0
         capsys.readouterr()
-        scores, labels = read_scores(val_path.read_text())
-        assert len(scores) == 4 and len(labels) == 4
+        scores = ScoreTable.from_jsonl(val_path.read_text())
+        assert len(scores.ids) == 4 and len(scores.labels) == 4
         fused_path = tmp_path / "fused.jsonl"
         assert main(["fuse", "--val", str(val_path), "--test", str(test_path),
                      "--out", str(fused_path)]) == 0
         out = capsys.readouterr().out
         assert "fusion weights: vcnn1=1.00" in out
         assert "validation metric:" in out and "test metric:" in out
-        fused, fused_labels = read_scores(fused_path.read_text())
-        assert len(fused) == 2 and all(s.network == "fusion" for s in fused)
+        fused = ScoreTable.from_jsonl(fused_path.read_text())
+        assert len(fused.ids) == 2 and fused.network == "fusion"
+
+    def test_fuse_label_disagreement(self, tmp_path, capsys):
+        """Two score files that label the same model differently are an
+        input error, not a silent choice of one of them."""
+        a = ScoreTable("vcnn1", ["m0", "m1"], [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        b = ScoreTable("mvnet", ["m0", "m1"], [0, 0], [[1.0, 0.0], [0.0, 1.0]])
+        paths = []
+        for table in (a, b):
+            paths.append(tmp_path / f"{table.network}.jsonl")
+            paths[-1].write_text(table.to_jsonl())
+        assert main(["fuse", "--val", *map(str, paths), "--test", *map(str, paths)]) == 4
+        assert "disagree on the label of 'm1'" in capsys.readouterr().err
 
     def test_fuse_mismatched_files(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fusionnet.models import (BUILDERS, ClassScores, Network, adapt_head,
-                              build_mvnet, build_vcnn1, build_vcnn2,
-                              forward_multiview, spec_manifest)
+from fusionnet.models import (BUILDERS, Network, adapt_head, build_mvnet,
+                              build_vcnn1, build_vcnn2, spec_manifest)
 from fusionnet.nn.weights import WeightsError
 
 
@@ -154,25 +153,24 @@ class TestForwardViews:
     def test_scores_shape_and_identity(self):
         net = self.build_small()
         v = self.views(6)
-        scores = net.forward_views(v, model_id="m1")
-        assert scores.scores.shape == (5,)
-        assert scores.model_id == "m1" and scores.network == "mvnet"
+        scores = net.forward_views(v)
+        assert scores.shape == (5,)  # the (1, 5) score row, flattened
 
     def test_duplicate_view_is_idempotent(self):
         net = self.build_small()
         v = self.views(1)
-        one = net.forward_views(v, model_id="a").scores
-        two = net.forward_views(np.concatenate([v, v]), model_id="a").scores
+        one = net.forward_views(v)
+        two = net.forward_views(np.concatenate([v, v]))
         assert np.array_equal(one, two)
 
     def test_permutation_invariance(self):
         net = self.build_small()
         v = self.views(6)
-        base = net.forward_views(v).scores
+        base = net.forward_views(v)
         rng = np.random.default_rng(3)
         for _ in range(10):
             perm = rng.permutation(6)
-            assert np.array_equal(net.forward_views(v[perm]).scores, base)
+            assert np.array_equal(net.forward_views(v[perm]), base)
 
     def test_view_subset_dominance(self):
         """Adding views can only raise each pooled feature, never lower it;
@@ -196,13 +194,6 @@ class TestForwardViews:
     def test_empty_views_rejected(self):
         with pytest.raises(ValueError):
             self.build_small().forward_views(np.zeros((0, 3, 32, 32), dtype=np.float32))
-
-    def test_forward_multiview_wrapper(self):
-        net = self.build_small()
-        v = self.views(4)
-        a = forward_multiview(net, v, model_id="x")
-        b = net.forward_views(v, model_id="x")
-        assert np.array_equal(a.scores, b.scores)
 
 
 class TestAdaptHead:
@@ -248,13 +239,3 @@ class TestAdaptHead:
         bad["L00.conv2d.w"] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(WeightsError):
             adapt_head(spec, bad, 3, seed=0)
-
-
-class TestClassScores:
-    def test_flattens_row_vector(self):
-        s = ClassScores(scores=np.zeros((1, 4)), model_id="m", network="n")
-        assert s.scores.shape == (4,)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ClassScores(scores=np.array([1.0, np.nan]), model_id="m", network="n")

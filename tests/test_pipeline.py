@@ -8,26 +8,30 @@ import os
 import numpy as np
 import pytest
 
-from fusionnet.models import ClassScores, Network, NetworkSpec
+from fusionnet.models import Network, NetworkSpec
 from fusionnet.nn import OptimizerConfig
 from fusionnet.nn import layers as L
 from fusionnet.nn.weights import read_weights, split_checkpoint, write_weights
 from fusionnet.orientations import derive_seed
 from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
                                 EpochRecord, FusionWeights, ManifestEntry,
-                                ReportRow, RunConfig, TrainingConfig,
+                                ReportRow, RunConfig, ScoreTable, TrainingConfig,
                                 average_per_class_accuracy, confusion_matrix,
                                 evaluate_network, fit_fusion_weights,
-                                fuse_predictions, fuse_scores, load_view_dataset,
+                                fuse_scores, load_view_dataset,
                                 load_voxel_dataset, make_icosphere,
                                 make_synthetic_dataset, prepare_caches,
-                                read_scores, render_report, run_pipeline,
+                                render_report, run_pipeline,
                                 simplex_grid, split_fusion_validation, train,
-                                views_to_input, voxels_to_input, write_scores)
+                                views_to_input, voxels_to_input)
 from fusionnet.pipeline.caches import voxel_rel
 from fusionnet.pipeline.data import SHAPE_KINDS, _GENERATORS
 
 TINY = CacheSettings(orientation_count=2, resolution=16, image_size=32, seed=0)
+
+
+def split_data(load, manifest, cache, split, **kw):
+    return load(manifest, cache, TINY, manifest.split_entries(split), **kw)
 
 
 def tree_digest(root):
@@ -163,7 +167,7 @@ class TestCacheLifecycle:
         assert open(victim, "rb").read() == good
 
     def test_voxel_loader_grouping(self, tiny_dataset, tiny_cache):
-        x, y, ids = load_voxel_dataset(tiny_dataset, tiny_cache, "train", TINY)
+        x, y, ids = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
         n = TINY.orientation_count
         assert x.shape == (len(ids) * n, 16, 16, 16) and x.dtype == np.uint8
         assert ids == [e.model_id for e in tiny_dataset.split_entries("train")]
@@ -174,23 +178,23 @@ class TestCacheLifecycle:
             assert block[0] == label
 
     def test_view_loader_twenty_views(self, tiny_dataset, tiny_cache):
-        x, y, ids = load_view_dataset(tiny_dataset, tiny_cache, "test", TINY)
+        x, y, ids = split_data(load_view_dataset, tiny_dataset, tiny_cache, "test")
         assert x.shape == (len(ids) * 20, 32, 32) and x.dtype == np.uint8
         assert len(ids) == 2
         assert x.max() > 0  # renders are not blank
 
     def test_jitter_flavor_differs(self, tiny_dataset, tiny_cache):
-        base, _, _ = load_voxel_dataset(tiny_dataset, tiny_cache, "train", TINY)
-        jit, _, _ = load_voxel_dataset(tiny_dataset, tiny_cache, "train", TINY,
-                                       jit=True)
+        base, _, _ = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
+        jit, _, _ = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train",
+                               jit=True)
         assert base.shape == jit.shape
         assert not np.array_equal(base, jit)
 
     def test_input_adapters(self, tiny_dataset, tiny_cache):
-        x, _, _ = load_voxel_dataset(tiny_dataset, tiny_cache, "train", TINY)
+        x, _, _ = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
         vx = voxels_to_input(x[:3])
         assert vx.dtype == np.float32 and set(np.unique(vx)) <= {0.0, 1.0}
-        v, _, _ = load_view_dataset(tiny_dataset, tiny_cache, "test", TINY)
+        v, _, _ = split_data(load_view_dataset, tiny_dataset, tiny_cache, "test")
         vw = views_to_input(v[:3])
         assert vw.shape == (3, 3, 32, 32) and vw.dtype == np.float32
         assert vw.min() >= 0.0 and vw.max() <= 1.0
@@ -245,6 +249,23 @@ class TestCacheLifecycle:
         os.remove(os.path.join(cache, "cache_manifest.jsonl"))
         report = prepare_caches(tiny_dataset, cache, TINY)
         assert (report.written, report.regenerated) == (0, 0) and report.skipped > 0
+
+    def test_fewer_orientations_remove_the_rest(self, tmp_path):
+        """Prepping at 3 orientations and then at 2 leaves no _o2 voxel file,
+        and every voxel file on disk is listed in the manifest."""
+        manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
+                                          out_dir=str(tmp_path / "ds"))
+        cache = str(tmp_path / "cache")
+        three = dataclasses.replace(TINY, orientation_count=3)
+        prepare_caches(manifest, cache, three, include_jitter=True, include_views=False)
+        prepare_caches(manifest, cache, TINY, include_jitter=True, include_views=False)
+        on_disk = {f"{d}/{name}" for d in ("voxels", "voxels_jit")
+                   for name in os.listdir(os.path.join(cache, d))}
+        assert not any("_o2." in f for f in on_disk)
+        with open(os.path.join(cache, "cache_manifest.jsonl"), encoding="ascii") as fh:
+            listed = {json.loads(line).get("path") for line in fh}
+        assert on_disk == {p for p in listed if p and p.startswith("voxels")}
+        assert len(on_disk) == 2 * 2 * 2  # models x flavors x orientations
 
     def test_parallel_prepare_matches_serial(self, tiny_dataset, tmp_path):
         serial = tmp_path / "serial"
@@ -430,9 +451,10 @@ class TestEvaluateNetwork:
         x, y = self.grouped_eval_data()
         result = evaluate_network(net, x, y, ["m0", "m1"], ["a", "b"], np.float32)
         assert result.metric == 1.0
-        assert result.per_class == {"a": 1.0, "b": 1.0}
-        assert result.predictions() == {"m0": 0, "m1": 1}
-        assert result.labels == {"m0": 0, "m1": 1}
+        assert result.per_class(["a", "b"]) == {"a": 1.0, "b": 1.0}
+        assert predictions(result) == {"m0": 0, "m1": 1}
+        assert dict(zip(result.ids, result.labels.tolist())) == {"m0": 0, "m1": 1}
+        assert result.network == "toy"
 
     def test_group_label_consistency_enforced(self):
         net = self.trained_net()
@@ -456,24 +478,75 @@ class TestEvaluateNetwork:
                              np.float32)
 
 
+def predictions(table):
+    """Predicted class per model: the argmax of its scores."""
+    return dict(zip(table.ids, np.argmax(table.matrix, axis=1).tolist()))
+
+
+class TestScoreTable:
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            ScoreTable("n", ["m"], [0], np.array([[1.0, np.nan]]))
+
+    def test_rejects_duplicate_ids_and_ragged_rows(self):
+        with pytest.raises(ValueError):
+            ScoreTable("n", ["m", "m"], [0, 0], np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            ScoreTable("n", ["m"], [0, 1], np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            ScoreTable("n", ["m"], [0], np.zeros(3))
+
+    def test_take_keeps_rows_in_order(self):
+        t = ScoreTable("n", ["a", "b", "c"], [0, 1, 0], np.arange(6.0).reshape(3, 2))
+        sub = t.take(np.array([True, False, True]))
+        assert sub.ids == ["a", "c"] and sub.labels.tolist() == [0, 0]
+        np.testing.assert_array_equal(sub.matrix, [[0.0, 1.0], [4.0, 5.0]])
+
+    def test_metric_and_per_class(self):
+        t = ScoreTable("n", ["a", "b", "c"], [0, 0, 1],
+                       [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        assert t.metric == pytest.approx(0.75)  # class z has no model
+        per_class = t.per_class(["x", "y", "z"])
+        assert list(per_class) == ["x", "y", "z"]
+        assert per_class["x"] == 0.5 and per_class["y"] == 1.0 and np.isnan(per_class["z"])
+
+
 class TestScoresIO:
+    # float32 network scores; the text is what the score files hold
+    GOLDEN = (
+        '{"label": 0, "model_id": "box_0003", "network": "vcnn1", "scores": '
+        '[0.10000000149011612, -2.5, 2.999999892949745e-08, 1234.5677490234375]}\n'
+        '{"label": 3, "model_id": "table/test/table_0001", "network": "vcnn1", "scores": '
+        '[0.3333333432674408, -0.0, 7.25, -0.0010000000474974513]}\n')
+
+    def test_golden_bytes(self):
+        rows = np.array([[0.1, -2.5, 3e-8, 1234.5678], [1 / 3, -0.0, 7.25, -1e-3]],
+                        dtype=np.float32)
+        table = ScoreTable("vcnn1", ["box_0003", "table/test/table_0001"], [0, 3], rows)
+        assert table.to_jsonl() == self.GOLDEN
+        assert ScoreTable.from_jsonl(self.GOLDEN).to_jsonl() == self.GOLDEN
+
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
-        scores = [ClassScores(rng.normal(size=4), f"m{i}", "vcnn1")
-                  for i in range(5)]
-        labels = {f"m{i}": i % 4 for i in range(5)}
-        text = write_scores(scores, labels)
-        back, back_labels = read_scores(text)
-        assert back_labels == labels
-        for orig, got in zip(scores, back):
-            assert got.model_id == orig.model_id
-            assert got.network == orig.network
-            assert np.array_equal(got.scores, orig.scores)
+        table = ScoreTable("vcnn1", [f"m{i}" for i in range(5)], [i % 4 for i in range(5)],
+                           rng.normal(size=(5, 4)))
+        back = ScoreTable.from_jsonl(table.to_jsonl())
+        assert back.ids == table.ids and back.network == table.network
+        assert np.array_equal(back.labels, table.labels)
+        assert np.array_equal(back.matrix, table.matrix)
 
     def test_lines_are_sorted_json(self):
-        text = write_scores([ClassScores([1.0, 2.0], "m", "n")], {"m": 0})
+        text = ScoreTable("n", ["m"], [0], [[1.0, 2.0]]).to_jsonl()
         rec = json.loads(text)
         assert list(rec) == sorted(rec)
+
+    def test_decode_rejects_empty_and_mixed_networks(self):
+        with pytest.raises(ValueError):
+            ScoreTable.from_jsonl("\n")
+        a = ScoreTable("a", ["m"], [0], [[1.0, 2.0]]).to_jsonl()
+        b = ScoreTable("b", ["n"], [0], [[1.0, 2.0]]).to_jsonl()
+        with pytest.raises(ValueError):
+            ScoreTable.from_jsonl(a + b)
 
 
 class TestSimplexGrid:
@@ -515,9 +588,10 @@ class TestFusionWeights:
         assert fw.as_dict() == {"a": 0.25, "b": 0.75}
 
 
-def scores_for(model_vals, network):
-    return [ClassScores(np.asarray(v, dtype=np.float64), m, network)
-            for m, v in model_vals.items()]
+def scores_for(model_vals, network, labels=None):
+    labels = labels or {}
+    return ScoreTable(network, list(model_vals), [labels.get(m, 0) for m in model_vals],
+                      [np.asarray(v, dtype=np.float64) for v in model_vals.values()])
 
 
 class TestFuseScores:
@@ -526,14 +600,14 @@ class TestFuseScores:
         b = scores_for({"m": [0.0, 3.0]}, "b")
         fw = FusionWeights(("a", "b"), (0.5, 0.5))
         fused = fuse_scores([a, b], fw)
-        np.testing.assert_allclose(fused[0].scores, [1.0, 1.5])
-        assert fused[0].network == "fusion"
-        assert fuse_predictions([a, b], fw) == {"m": 1}
+        np.testing.assert_allclose(fused.matrix[0], [1.0, 1.5])
+        assert fused.network == "fusion"
+        assert predictions(fuse_scores([a, b], fw)) == {"m": 1}
 
     def test_tie_prefers_lowest_class(self):
         a = scores_for({"m": [1.0, 1.0]}, "a")
         fw = FusionWeights(("a",), (1.0,))
-        assert fuse_predictions([a], fw) == {"m": 0}
+        assert predictions(fuse_scores([a], fw)) == {"m": 0}
 
     def test_normalize_can_overrule_raw_magnitude(self):
         """Two mildly confident components against one loud one: raw fusion
@@ -544,8 +618,8 @@ class TestFuseScores:
         c = scores_for({"m": [0.0, 10.0]}, "c")
         third = 1.0 / 3.0
         fw = FusionWeights(("a", "b", "c"), (third, third, third))
-        assert fuse_predictions([a, b, c], fw) == {"m": 1}
-        assert fuse_predictions([a, b, c], fw, normalize=True) == {"m": 0}
+        assert predictions(fuse_scores([a, b, c], fw)) == {"m": 1}
+        assert predictions(fuse_scores([a, b, c], fw, normalize=True)) == {"m": 0}
 
     def test_alignment_errors(self):
         a = scores_for({"m1": [1.0, 0.0], "m2": [0.0, 1.0]}, "a")
@@ -561,6 +635,9 @@ class TestFuseScores:
             fuse_scores([a, short], fw)
         with pytest.raises(ValueError):
             fuse_scores([a], fw)
+        relabeled = scores_for({"m1": [1.0, 0.0], "m2": [0.0, 1.0]}, "b", {"m2": 1})
+        with pytest.raises(ValueError):
+            fuse_scores([a, relabeled], fw)
 
 
 class TestFitFusionWeights:
@@ -582,11 +659,11 @@ class TestFitFusionWeights:
                 a_vals[m], b_vals[m] = strong, weak
             else:
                 a_vals[m], b_vals[m] = weak, strong
-        return (scores_for(a_vals, "a"), scores_for(b_vals, "b"), labels)
+        return (scores_for(a_vals, "a", labels), scores_for(b_vals, "b", labels), labels)
 
     def test_mixed_weights_beat_corners(self):
         a, b, labels = self.complementary()
-        fw, metric = fit_fusion_weights([a, b], labels, ["a", "b"])
+        fw, metric = fit_fusion_weights([a, b], ["a", "b"])
         assert metric == 1.0
         assert 0.0 < fw.weights[0] < 1.0 and 0.0 < fw.weights[1] < 1.0
 
@@ -596,11 +673,11 @@ class TestFitFusionWeights:
         comps = []
         for name in ("a", "b", "c"):
             comps.append(scores_for(
-                {m: rng.normal(size=3) for m in labels}, name))
-        fw, metric = fit_fusion_weights(comps, labels, ["a", "b", "c"])
+                {m: rng.normal(size=3) for m in labels}, name, labels))
+        fw, metric = fit_fusion_weights(comps, ["a", "b", "c"])
 
         def single_metric(component):
-            preds = {s.model_id: int(np.argmax(s.scores)) for s in component}
+            preds = predictions(component)
             y = np.array([labels[m] for m in preds])
             p = np.array([preds[m] for m in preds])
             return average_per_class_accuracy(confusion_matrix(y, p, 3))
@@ -609,15 +686,15 @@ class TestFitFusionWeights:
 
     def test_identical_components_pick_uniform_weights(self):
         a, _, labels = self.complementary()
-        twin = [ClassScores(s.scores.copy(), s.model_id, "b") for s in a]
-        fw, _ = fit_fusion_weights([a, twin], labels, ["a", "b"])
+        twin = ScoreTable("b", a.ids, a.labels, a.matrix.copy())
+        fw, _ = fit_fusion_weights([a, twin], ["a", "b"])
         assert fw.weights == (0.5, 0.5)
 
     def test_one_hot_when_single_component_is_best(self):
         labels = {"m0": 0, "m1": 1}
-        good = scores_for({"m0": [1.0, 0.0], "m1": [0.0, 1.0]}, "good")
-        bad = scores_for({"m0": [0.0, 9.0], "m1": [9.0, 0.0]}, "bad")
-        fw, metric = fit_fusion_weights([good, bad], labels, ["good", "bad"])
+        good = scores_for({"m0": [1.0, 0.0], "m1": [0.0, 1.0]}, "good", labels)
+        bad = scores_for({"m0": [0.0, 9.0], "m1": [9.0, 0.0]}, "bad", labels)
+        fw, metric = fit_fusion_weights([good, bad], ["good", "bad"])
         assert metric == 1.0
         assert fw.weights[0] > 0.9  # anything drowned by 'bad' misclassifies
 

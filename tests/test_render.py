@@ -9,7 +9,7 @@ from fusionnet.mesh import TriangleMesh, normalize_mesh
 from fusionnet.render import (AMBIENT, DIFFUSE, ORTHO_HALF_EXTENT, SHININESS,
                               SPECULAR, VIEW_COUNT, CameraRig, PgmError, ViewImage,
                               camera_basis, make_camera_rig, read_pgm,
-                              render_view, replicate_channels, write_pgm)
+                              render_view, write_pgm)
 
 
 def phong_shade(cos_incidence):
@@ -208,13 +208,6 @@ class TestRenderView:
 
 
 class TestImageHelpers:
-    def test_replicate_channels(self):
-        img = ViewImage(np.linspace(0, 1, 64 * 64).reshape(64, 64), 0)
-        out = replicate_channels(img)
-        assert out.shape == (3, 64, 64)
-        np.testing.assert_array_equal(out[0], out[1])
-        np.testing.assert_array_equal(out[0], out[2])
-
     def test_pgm_roundtrip(self):
         rng = np.random.default_rng(0)
         pixels = rng.random((48, 48))
