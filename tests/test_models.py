@@ -196,6 +196,19 @@ class TestForwardViews:
             self.build_small().forward_views(np.zeros((0, 3, 32, 32), dtype=np.float32))
 
 
+class TestClassScores:
+    def test_flattens_row_vector(self):
+        """One model's class scores come out as a flat (k,) row: with a
+        single view, forward_views equals the (1, k) batch output's row."""
+        net = Network.initialize(build_mvnet(5, image_size=32), seed=0)
+        v = np.random.default_rng(1).random((1, 3, 32, 32)).astype(np.float32)
+        row = net.forward(v).data
+        assert row.shape == (1, 5)
+        scores = net.forward_views(v)
+        assert scores.shape == (5,)
+        assert np.array_equal(scores, row[0])
+
+
 class TestAdaptHead:
     def test_trunk_preserved_head_reinitialized(self):
         spec = build_vcnn1(4)
