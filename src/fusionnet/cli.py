@@ -23,14 +23,14 @@ import sys
 from .models import Network
 from .nn.gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, run_suite
 from .nn.optim import OptimizerConfig
-from .nn.weights import read_weights, split_checkpoint
+from .nn.weights import read_weights
 from .pipeline.caches import CacheSettings, prepare_caches
 from .pipeline.data import (SHAPE_KINDS, DatasetManifest, ingest_modelnet,
                             make_synthetic_dataset)
-from .pipeline.evaluation import ScoreTable, evaluate_network
+from .pipeline.evaluation import ScoreTable
 from .pipeline.fusion import FusionWeights, fit_fusion_weights, fuse_scores
 from .pipeline.report import ReportRow, render_report
-from .pipeline.run import COMPONENTS, component_spec, load_component, train_component
+from .pipeline.run import COMPONENTS, component_spec, score_component, train_component
 from .pipeline.training import TrainingConfig
 
 DEFAULTS = {
@@ -201,8 +201,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                                   weight_decay=_opt(args, "weight_decay", float)),
         batch_size=_opt(args, "batch_size", int),
         seed=seed,
-        log_path=os.path.join(out, f"{component}.csv"),
-        checkpoint_path=os.path.join(out, f"{component}.ckpt.fnw1"))
+        log_path=os.path.join(out, f"{component}.csv"))
     weights_path = os.path.join(out, f"{component}.fnw1")
     _, records = train_component(component, manifest, _cache_dir(args), _settings(args),
                                  manifest.split_entries("train"), tcfg, weights_path)
@@ -221,15 +220,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     settings = _settings(args)
     spec = component_spec(component, len(manifest.classes), settings.image_size)
     with open(args.weights, "rb") as fh:
-        arrays, _ = split_checkpoint(read_weights(fh.read()))
-    network = Network.from_arrays(spec, arrays)
+        network = Network.from_arrays(spec, read_weights(fh.read()))
     split = _opt(args, "split")
     entries = manifest.split_entries(split)
     if not entries:
         raise ValueError(f"no {split!r} entries in manifest")
-    x, y, ids, to_input = load_component(component, manifest, _cache_dir(args),
-                                         settings, entries)
-    table = evaluate_network(network, x, y, ids, manifest.classes, to_input)
+    table = score_component(component, network, manifest, _cache_dir(args),
+                            settings, entries)
     for cls, metric in table.per_class(manifest.classes).items():
         print(f"{cls:>12s}  {metric:.4f}")
     print(f"{'average':>12s}  {table.metric:.4f}")

@@ -279,48 +279,3 @@ def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
             out[name] = L.init_param(shape, fan_in, rng, dtype)
     return new_spec, out
 
-
-def _format_layer(spec: L.LayerSpec) -> str:
-    if spec.kind == "conv2d":
-        return (f"conv2d filters={spec.filter_count} size={spec.filter_size} "
-                f"stride={spec.stride} pad={spec.padding}")
-    if spec.kind == "maxpool2d":
-        return f"maxpool2d size={spec.filter_size}"
-    if spec.kind == "dropout":
-        return f"dropout rate={spec.dropout_rate:g}"
-    if spec.kind == "fully_connected":
-        return f"fully_connected units={spec.output_units}"
-    return spec.kind
-
-
-def spec_manifest(spec: NetworkSpec) -> str:
-    """Human-readable architecture listing, stable for textual diffing."""
-    lines = [f"network {spec.name}",
-             f"input {'x'.join(str(d) for d in spec.input_shape)}",
-             f"classes {spec.class_count}"]
-    if spec.freeze_below is not None:
-        lines.append(f"freeze_below {spec.freeze_below}")
-    shape: tuple[int, ...] = spec.input_shape
-    for i, layer in enumerate(spec.layers):
-        out = L.output_shape(layer, shape)
-        count = L.param_count(layer, shape)
-        head = f"L{i:02d} {_format_layer(layer)}"
-        tail = f" -> {'x'.join(str(d) for d in out)}"
-        if count:
-            tail += f" params={count}"
-        lines.append(head + tail)
-        if layer.kind == "concat":
-            for bi, branch in enumerate(layer.branches):
-                bshape = shape
-                for si, sub in enumerate(branch):
-                    bout = L.output_shape(sub, bshape)
-                    bcount = L.param_count(sub, bshape)
-                    line = f"  br{bi}.{si} {_format_layer(sub)} -> " \
-                           f"{'x'.join(str(d) for d in bout)}"
-                    if bcount:
-                        line += f" params={bcount}"
-                    lines.append(line)
-                    bshape = bout
-        shape = out
-    lines.append(f"total_params {spec.param_count()}")
-    return "\n".join(lines) + "\n"

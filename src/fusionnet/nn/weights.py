@@ -4,8 +4,7 @@ Record layout, all integers unsigned 32-bit little-endian:
     name_len, name bytes (utf-8), rank, dims[rank], then the values as
     32-bit IEEE-754 little-endian in row-major order.
 
-Checkpoints reuse the format and append optimizer velocity buffers under
-"<param name>.m" so training can resume mid-schedule.
+A file holds one network's parameters, named as in ``Network.params``.
 
 Encoding makes one copy of the values: each array's own buffer (converted
 only if it is not already contiguous little-endian float32) goes straight
@@ -21,7 +20,6 @@ import struct
 import numpy as np
 
 MAGIC = b"FNW1"
-MOMENTUM_SUFFIX = ".m"
 
 
 class WeightsError(ValueError):
@@ -74,19 +72,3 @@ def read_weights(data: bytes) -> dict[str, np.ndarray]:
         arrays[name] = values.copy()
     return arrays
 
-
-def split_checkpoint(arrays: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray],
-                                                             dict[str, np.ndarray]]:
-    """Separate parameters from appended optimizer velocity buffers."""
-    params = {k: v for k, v in arrays.items() if not k.endswith(MOMENTUM_SUFFIX)}
-    state = {k[:-len(MOMENTUM_SUFFIX)]: v for k, v in arrays.items()
-             if k.endswith(MOMENTUM_SUFFIX)}
-    return params, state
-
-
-def make_checkpoint(params: dict[str, np.ndarray],
-                    state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    out = dict(params)
-    for name, v in state.items():
-        out[name + MOMENTUM_SUFFIX] = v
-    return out

@@ -6,7 +6,6 @@ A run writes everything under one output directory:
     dataset/        generated meshes + manifest (synthetic runs only)
     cache/          voxel/view/orientation caches (unless redirected)
     logs/           per-component training CSV
-    checkpoints/    rolling per-epoch checkpoint per component
     weights/        final weights per component
     scores/         per-split class scores per component + fused test scores
     report.txt      comparison table (network, views used, metric)
@@ -72,8 +71,6 @@ class RunConfig:
     learning_rate: float = 0.001
     momentum: float = 0.9
     weight_decay: float = 0.0
-    lr_step_epochs: int = 20
-    lr_decay: float = 0.1
     jitter_sigma: float = 5.0
     seed: int = 0
     jobs: int = 1
@@ -133,6 +130,16 @@ def train_component(name: str, manifest: DatasetManifest, cache_dir: str,
     return network, records
 
 
+def score_component(name: str, network: Network, manifest: DatasetManifest,
+                    cache_dir: str, settings: CacheSettings,
+                    entries: list[ManifestEntry]) -> ScoreTable:
+    """Score ``entries`` in a table named after the component, not its spec."""
+    x, y, ids, to_input = load_component(name, manifest, cache_dir, settings, entries)
+    table = evaluate_network(network, x, y, ids, manifest.classes, to_input)
+    table.network = name
+    return table
+
+
 def split_fusion_validation(manifest: DatasetManifest, seed: int
                             ) -> tuple[list[ManifestEntry], list[ManifestEntry]]:
     """Carve a stratified 20% of training models per class for fusion weight
@@ -179,7 +186,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the full pipeline; returns the metrics dict that is also
     written to ``out_dir/metrics.json``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for sub in ("logs", "checkpoints", "weights", "scores"):
+    for sub in ("logs", "weights", "scores"):
         os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
     manifest = _resolve_manifest(cfg)
     classes = manifest.classes
@@ -224,21 +231,17 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                   momentum=cfg.momentum,
                                   weight_decay=cfg.weight_decay),
         batch_size=cfg.batch_size,
-        lr_step_epochs=cfg.lr_step_epochs,
-        lr_decay=cfg.lr_decay,
         seed=cfg.seed)
     tables: dict[str, list[ScoreTable]] = {"val": [], "test": []}
     for name in cfg.components:
         network, records = train_component(
             name, manifest, cache_dir, settings, core,
-            replace(tcfg, log_path=os.path.join(cfg.out_dir, "logs", f"{name}.csv"),
-                    checkpoint_path=os.path.join(cfg.out_dir, "checkpoints", f"{name}.fnw1")),
+            replace(tcfg, log_path=os.path.join(cfg.out_dir, "logs", f"{name}.csv")),
             os.path.join(cfg.out_dir, "weights", f"{name}.fnw1"))
         entry: dict = {"train_metric": records[-1].train_metric,
                        "final_loss": records[-1].loss}
         for split_name, entries in (("val", val), ("test", test)):
-            x, y, ids, to_input = load_component(name, manifest, cache_dir, settings, entries)
-            table = evaluate_network(network, x, y, ids, classes, to_input)
+            table = score_component(name, network, manifest, cache_dir, settings, entries)
             path = os.path.join(cfg.out_dir, "scores", f"{name}_{split_name}.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(table.to_jsonl())

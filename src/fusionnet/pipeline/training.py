@@ -1,5 +1,5 @@
-"""Deterministic training loop: shuffled minibatches, SGD with momentum,
-per-epoch CSV logging and a rolling binary checkpoint.
+"""Deterministic training loop: shuffled minibatches, SGD with momentum and
+per-epoch CSV logging. The caller writes the trained weights.
 
 Every orientation or view is an independent training sample. The log's
 train_metric column is the average per-class accuracy accumulated from the
@@ -20,7 +20,8 @@ import numpy as np
 from ..models import Network
 from ..nn import tensor as T
 from ..nn.optim import OptimizerConfig, sgd_step, step_lr
-from ..nn.weights import make_checkpoint, write_weights
+# unused here; perfbench/tracer.py patches this name until ROADMAP item 5 lands
+from ..nn.weights import write_weights  # noqa: F401
 from ..orientations import derive_seed
 
 
@@ -33,7 +34,6 @@ class TrainingConfig:
     lr_decay: float = 0.1
     seed: int = 0
     log_path: str | None = None
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -111,13 +111,6 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
                 log.write(f"{rec.epoch},{rec.loss:.6f},{rec.train_metric:.6f},"
                           f"{rec.wall_seconds:.3f}\n")
                 log.flush()
-            if cfg.checkpoint_path:
-                live = {n: p.data for n, p in network.params.items()}
-                blob = write_weights(make_checkpoint(live, state))
-                tmp = cfg.checkpoint_path + ".tmp"
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, cfg.checkpoint_path)
             if after_epoch is not None:
                 after_epoch(network, epoch)
     finally:

@@ -8,10 +8,12 @@ import py_compile
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fusionnet.cli import DEFAULTS, main
 from fusionnet.nn.gradcheck import CASES
+from fusionnet.nn.weights import read_weights, write_weights
 from fusionnet.pipeline import ScoreTable
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
@@ -232,9 +234,7 @@ class TestPrepCommand:
 
 class TestTrainEvalFuse:
     def test_train_artifacts(self, cli_workspace):
-        run = cli_workspace["run"]
-        for name in ("vcnn1.fnw1", "vcnn1.csv", "vcnn1.ckpt.fnw1"):
-            assert (run / name).exists()
+        assert sorted(os.listdir(cli_workspace["run"])) == ["vcnn1.csv", "vcnn1.fnw1"]
 
     def test_train_deterministic(self, cli_workspace, tmp_path):
         assert main(["train", *cli_workspace["common"], "--component", "vcnn1",
@@ -257,9 +257,9 @@ class TestTrainEvalFuse:
                      "--out", str(tmp_path)]) == 3
         assert "error:" in capsys.readouterr().err
 
-    def eval_split(self, ws, split, out_path):
-        weights = ws["run"] / "vcnn1.fnw1"
-        return main(["eval", *ws["common"], "--component", "vcnn1",
+    def eval_split(self, ws, split, out_path, component="vcnn1", weights=None):
+        weights = weights or ws["run"] / "vcnn1.fnw1"
+        return main(["eval", *ws["common"], "--component", component,
                      "--weights", str(weights), "--split", split,
                      "--out", str(out_path)])
 
@@ -281,6 +281,40 @@ class TestTrainEvalFuse:
         assert "validation metric:" in out and "test metric:" in out
         fused = ScoreTable.from_jsonl(fused_path.read_text())
         assert len(fused.ids) == 2 and fused.network == "fusion"
+
+    def test_jitter_component_scores_named_after_it(self, cli_workspace, tmp_path, capsys):
+        """vcnn1_jit shares vcnn1's spec, but its score files and the fusion
+        weights that fuse prints carry the component's own name."""
+        paths = {}
+        for component in ("vcnn1", "vcnn1_jit"):
+            for split in ("train", "test"):
+                paths[component, split] = tmp_path / f"{component}_{split}.jsonl"
+                assert self.eval_split(cli_workspace, split, paths[component, split],
+                                       component=component) == 0
+        table = ScoreTable.from_jsonl(paths["vcnn1_jit", "test"].read_text())
+        assert table.network == "vcnn1_jit"
+        capsys.readouterr()
+        assert main(["fuse", "--val", str(paths["vcnn1", "train"]),
+                     str(paths["vcnn1_jit", "train"]),
+                     "--test", str(paths["vcnn1", "test"]),
+                     str(paths["vcnn1_jit", "test"])]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("fusion weights: vcnn1=") and " vcnn1_jit=" in line
+        assert "#" not in line
+
+    def test_eval_ignores_appended_velocity_records(self, cli_workspace, tmp_path):
+        """A weights file in the older checkpoint layout, with optimizer
+        velocity records "<name>.m" appended after the parameters, scores the same."""
+        weights = cli_workspace["run"] / "vcnn1.fnw1"
+        arrays = read_weights(weights.read_bytes())
+        arrays.update({f"{name}.m": np.full_like(a, 0.5) for name, a in arrays.items()})
+        old_layout = tmp_path / "vcnn1.ckpt.fnw1"
+        old_layout.write_bytes(write_weights(arrays))
+        assert old_layout.read_bytes().startswith(weights.read_bytes())
+        plain, legacy = tmp_path / "plain.jsonl", tmp_path / "legacy.jsonl"
+        assert self.eval_split(cli_workspace, "test", plain) == 0
+        assert self.eval_split(cli_workspace, "test", legacy, weights=old_layout) == 0
+        assert legacy.read_bytes() == plain.read_bytes()
 
     def test_fuse_label_disagreement(self, tmp_path, capsys):
         """Two score files that label the same model differently are an

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionnet.models import (BUILDERS, Network, adapt_head, build_mvnet,
-                              build_vcnn1, build_vcnn2, spec_manifest)
+                              build_vcnn1, build_vcnn2)
 from fusionnet.nn.weights import WeightsError
 
 
@@ -81,20 +81,6 @@ class TestMvnetGolden:
     def test_builders_registry(self):
         assert set(BUILDERS) == {"vcnn1", "vcnn2", "mvnet"}
         assert BUILDERS["vcnn1"](5).name == "vcnn1"
-
-
-class TestSpecManifest:
-    def test_deterministic_and_informative(self):
-        spec = build_vcnn1(40)
-        text = spec_manifest(spec)
-        assert text == spec_manifest(build_vcnn1(40))
-        assert "network vcnn1" in text
-        assert "input 30x30x30" in text
-        assert "classes 40" in text
-        assert "params=3278848" in text
-
-    def test_class_count_changes_text(self):
-        assert spec_manifest(build_vcnn1(40)) != spec_manifest(build_vcnn1(10))
 
 
 class TestNetwork:

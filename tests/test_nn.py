@@ -512,10 +512,9 @@ class TestWeightsFormat:
 
     def test_fuzzed_blobs_parse_or_raise_weights_error(self):
         rng = np.random.default_rng(11)
-        blob = W.write_weights(W.make_checkpoint(
-            {"L00.conv2d.w": rng.normal(size=(2, 1, 3, 3)),
-             "L01.fully_connected.b": rng.normal(size=3)},
-            {"L00.conv2d.w": np.zeros((2, 1, 3, 3))}))
+        blob = W.write_weights({"L00.conv2d.w": rng.normal(size=(2, 1, 3, 3)),
+                                "L01.fully_connected.b": rng.normal(size=3),
+                                "L00.conv2d.w.m": np.zeros((2, 1, 3, 3))})
         cases = [blob[:n] for n in range(len(blob))]
         for _ in range(400):
             data = bytearray(blob)
@@ -528,15 +527,6 @@ class TestWeightsFormat:
             except W.WeightsError:
                 continue
             assert all(a.dtype == np.float32 for a in arrays.values())
-
-    def test_checkpoint_split_inverse(self):
-        params = {"w": np.ones(2, dtype=np.float32)}
-        state = {"w": np.full(2, 0.5, dtype=np.float32)}
-        merged = W.make_checkpoint(params, state)
-        assert set(merged) == {"w", "w.m"}
-        p2, s2 = W.split_checkpoint(merged)
-        assert np.array_equal(p2["w"], params["w"])
-        assert np.array_equal(s2["w"], state["w"])
 
 
 class TestGradcheck:

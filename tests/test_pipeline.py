@@ -11,7 +11,7 @@ import pytest
 from fusionnet.models import Network, NetworkSpec
 from fusionnet.nn import OptimizerConfig
 from fusionnet.nn import layers as L
-from fusionnet.nn.weights import read_weights, split_checkpoint, write_weights
+from fusionnet.nn.weights import write_weights
 from fusionnet.orientations import derive_seed
 from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
                                 EpochRecord, FusionWeights, ManifestEntry,
@@ -301,8 +301,7 @@ def toy_config(tmp_path=None, epochs=30, seed=0):
         epochs=epochs,
         optimizer=OptimizerConfig(learning_rate=0.05, momentum=0.9),
         batch_size=8, seed=seed,
-        log_path=str(tmp_path / "log.csv") if tmp_path else None,
-        checkpoint_path=str(tmp_path / "ckpt.fnw1") if tmp_path else None)
+        log_path=str(tmp_path / "log.csv") if tmp_path else None)
 
 
 class TestTraining:
@@ -335,17 +334,11 @@ class TestTraining:
             assert int(cells[0]) == i
             float(cells[1]), float(cells[2]), float(cells[3])
 
-    def test_checkpoint_resumable_state(self, tmp_path):
+    def test_writes_only_the_log(self, tmp_path):
         net = Network.initialize(toy_spec(), seed=1)
         x, y = toy_data()
-        train(net, x, y, toy_config(tmp_path, epochs=3), np.float32, name="toy")
-        arrays = read_weights((tmp_path / "ckpt.fnw1").read_bytes())
-        params, state = split_checkpoint(arrays)
-        final = net.arrays()
-        assert set(params) == set(final)
-        for k in final:
-            assert np.array_equal(params[k], final[k])
-        assert set(state) == set(final)  # one velocity buffer per parameter
+        train(net, x, y, toy_config(tmp_path, epochs=2), np.float32, name="toy")
+        assert sorted(os.listdir(tmp_path)) == ["log.csv"]
 
     def test_frozen_layers_stay_bit_identical(self):
         spec = toy_spec(freeze_below=1)
@@ -769,10 +762,11 @@ class TestRunPipeline:
     def test_artifacts_written(self, tiny_run):
         out, metrics = tiny_run
         for rel in ("metrics.json", "report.txt", "weights/vcnn1.fnw1",
-                    "logs/vcnn1.csv", "checkpoints/vcnn1.fnw1",
+                    "logs/vcnn1.csv",
                     "scores/vcnn1_val.jsonl", "scores/vcnn1_test.jsonl",
                     "scores/fusion_test.jsonl", "dataset/manifest.jsonl"):
             assert (out / rel).exists(), rel
+        assert not (out / "checkpoints").exists()
         stored = json.loads((out / "metrics.json").read_text())
         assert stored == json.loads(json.dumps(metrics))
 
