@@ -30,7 +30,8 @@ from .pipeline.data import (SHAPE_KINDS, DatasetManifest, ingest_modelnet,
 from .pipeline.evaluation import ScoreTable
 from .pipeline.fusion import FusionWeights, fit_fusion_weights, fuse_scores
 from .pipeline.report import ReportRow, render_report
-from .pipeline.run import COMPONENTS, component_spec, score_component, train_component
+from .pipeline.run import (COMPONENTS, component_spec, score_component,
+                           split_fusion_validation, train_component)
 from .pipeline.training import TrainingConfig
 
 DEFAULTS = {
@@ -203,8 +204,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=seed,
         log_path=os.path.join(out, f"{component}.csv"))
     weights_path = os.path.join(out, f"{component}.fnw1")
+    core, _ = split_fusion_validation(manifest, seed)  # eval --split val scores the rest
     _, records = train_component(component, manifest, _cache_dir(args), _settings(args),
-                                 manifest.split_entries("train"), tcfg, weights_path)
+                                 core, tcfg, weights_path)
     last = records[-1]
     print(f"{component}: {len(records)} epochs, final loss {last.loss:.4f}, "
           f"train metric {last.train_metric:.4f}")
@@ -222,7 +224,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     with open(args.weights, "rb") as fh:
         network = Network.from_arrays(spec, read_weights(fh.read()))
     split = _opt(args, "split")
-    entries = manifest.split_entries(split)
+    if split == "val":  # the training models that train holds out, as in run_pipeline
+        entries = split_fusion_validation(manifest, _opt(args, "seed", int))[1]
+    else:
+        entries = manifest.split_entries(split)
     if not entries:
         raise ValueError(f"no {split!r} entries in manifest")
     table = score_component(component, network, manifest, _cache_dir(args),
@@ -378,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "manifest", "cache", "seed")
     _add(p, "--component", cast=str, help=f"one of {','.join(sorted(COMPONENTS))}")
     p.add_argument("--weights", required=True, help="trained weights file")
-    _add(p, "--split", cast=str, help="manifest split to evaluate")
+    _add(p, "--split", cast=str,
+         help="train, test, or val (the training models that train holds out)")
     p.add_argument("--out", default=None, help="write per-model class scores (JSON lines)")
     p.set_defaults(func=_cmd_eval)
 

@@ -2,7 +2,7 @@
 
 from . import gradcheck, layers, optim, tensor, weights
 from .layers import LayerSpec
-from .optim import OptimizerConfig, sgd_step, step_lr
+from .optim import OptimizerConfig, sgd_step
 from .tensor import Tensor, backward
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "LayerSpec",
     "OptimizerConfig",
     "sgd_step",
-    "step_lr",
     "Tensor",
     "backward",
 ]

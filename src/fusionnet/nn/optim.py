@@ -1,4 +1,4 @@
-"""SGD with momentum and weight decay, plus the step learning-rate schedule."""
+"""SGD with momentum and weight decay."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ class OptimizerConfig:
 
 
 def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
-             cfg: OptimizerConfig, learning_rate: float | None = None) -> None:
+             cfg: OptimizerConfig) -> None:
     """v <- momentum*v - lr*(g + weight_decay*w); w <- w + v.
 
     Both updates happen in place: `p.data` and the velocity buffers in
@@ -38,7 +38,6 @@ def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
     are left untouched. `state` holds one velocity buffer per parameter and
     is created lazily so a fresh dict starts from zero velocity.
     """
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
     for name, p in params.items():
         if not p.requires_grad or p.grad is None:
             continue
@@ -49,12 +48,5 @@ def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
         if v is None:
             v = state[name] = np.zeros_like(p.data)
         v *= p.dtype.type(cfg.momentum)
-        v -= p.dtype.type(lr) * g
+        v -= p.dtype.type(cfg.learning_rate) * g
         p.data += v
-
-
-def step_lr(base_lr: float, epoch: int, step_epochs: int, decay: float) -> float:
-    """Learning rate for a given 0-based epoch under step decay."""
-    if step_epochs <= 0:
-        return base_lr
-    return base_lr * decay ** (epoch // step_epochs)

@@ -5,25 +5,27 @@ Layout under the cache directory:
     voxels_jit/<id>_o<k>.voxb    same, from the jittered mesh copy
     views/<id>_v<k>.pgm          rendered grayscale view k
     orientations/<id>.txt        the (theta, phi) list used for this model
-    cache_manifest.jsonl         settings line + sha256 per produced file
+    cache_manifest.jsonl         one line: the settings the files were made under
 
-Preparation is idempotent: files that exist and pass their header check are
-skipped; corrupt or wrong-shape files are regenerated in place. When the
-manifest's settings line differs from the current settings, every file is
-stale and is regenerated, and voxel files of orientations past the current
-count are removed; with no manifest (an interrupted first
-preparation) the header check alone decides, so a resume keeps its work.
+Preparation is idempotent. A file is kept only when the manifest's settings
+line matches the current settings and the file's bytes decode to what those
+settings expect (voxel resolution, image size, the exact orientation text);
+any other file is regenerated in place. When the settings line differs,
+every file is stale and is regenerated, and voxel files of orientations past
+the current count are removed; with no manifest (an interrupted first
+preparation) the decode check alone decides, so a resume keeps its work.
 All writes go through a temp file + rename. Model ids may contain '/'
 (ModelNet); path separators are flattened to '__' in file names.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -82,22 +84,20 @@ def _write_atomic(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _valid_voxel_file(path: str, resolution: int) -> bool:
+def _kept(path: str, stale: bool, decode: Callable[[bytes], object], want: object,
+          report: CacheReport) -> bool:
+    """Keep (and count as skipped) a file that is not ``stale`` and whose
+    bytes decode to ``want``; a missing or corrupt file is not kept."""
+    if stale:
+        return False
     try:
         with open(path, "rb") as fh:
-            grid = read_voxel_cache(fh.read())
-        return grid.resolution == resolution
+            if decode(fh.read()) != want:
+                return False
     except (OSError, ValueError):
         return False
-
-
-def _valid_view_file(path: str, image_size: int) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            img = read_pgm(fh.read())
-        return img.shape == (image_size, image_size)
-    except (OSError, ValueError):
-        return False
+    report.skipped += 1
+    return True
 
 
 def _replace_file(path: str, data: bytes, report: CacheReport) -> None:
@@ -127,9 +127,7 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
 
         opath = os.path.join(cache_dir, orient_rel(model_id))
         otext = orientations_to_text(oset).encode("ascii")
-        if not stale and os.path.exists(opath) and open(opath, "rb").read() == otext:
-            report.skipped += 1
-        else:
+        if not _kept(opath, stale, bytes, otext, report):
             _replace_file(opath, otext, report)
 
         flavors = []
@@ -142,8 +140,8 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
         for jit, mesh in flavors:
             for k, o in enumerate(oset.orientations):
                 path = os.path.join(cache_dir, voxel_rel(model_id, k, jit))
-                if not stale and _valid_voxel_file(path, settings.resolution):
-                    report.skipped += 1
+                if _kept(path, stale, lambda b: read_voxel_cache(b).resolution,
+                         settings.resolution, report):
                     continue
                 turned = normalize_mesh(apply_rotation(mesh, o))
                 grid = voxelize_surface(turned, resolution=settings.resolution)
@@ -160,8 +158,8 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
             normalized = normalize_mesh(raw)
             for v in range(len(rig.positions)):
                 path = os.path.join(cache_dir, view_rel(model_id, v))
-                if not stale and _valid_view_file(path, settings.image_size):
-                    report.skipped += 1
+                if _kept(path, stale, lambda b: read_pgm(b).shape,
+                         (settings.image_size,) * 2, report):
                     continue
                 img = render_view(normalized, rig, v)
                 _replace_file(path, write_pgm(img), report)
@@ -170,78 +168,47 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
     return report
 
 
-def _expected_files(manifest: DatasetManifest, settings: CacheSettings,
-                    include_voxels: bool, include_views: bool,
-                    include_jitter: bool) -> list[str]:
-    rels = []
-    for e in manifest.entries:
-        rels.append(orient_rel(e.model_id))
-        if include_voxels:
-            rels += [voxel_rel(e.model_id, k) for k in range(settings.orientation_count)]
-        if include_jitter:
-            rels += [voxel_rel(e.model_id, k, jit=True)
-                     for k in range(settings.orientation_count)]
-        if include_views:
-            rels += [view_rel(e.model_id, v) for v in range(20)]
-    return rels
-
-
 def prepare_caches(manifest: DatasetManifest, cache_dir: str,
                    settings: CacheSettings, include_voxels: bool = True,
                    include_views: bool = True, include_jitter: bool = False,
                    jobs: int = 1) -> CacheReport:
     """Build every cache file the manifest implies, skipping valid ones made
-    under the same settings, then rewrite the content-hash manifest if
-    anything changed."""
+    under the same settings, then stamp the manifest with those settings."""
     for sub in ("voxels", "views", "orientations") + (("voxels_jit",) if include_jitter else ()):
         os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
 
-    settings_line = json.dumps({"kind": "settings",
-                                "orientation_count": settings.orientation_count,
-                                "resolution": settings.resolution,
-                                "image_size": settings.image_size,
-                                "seed": settings.seed,
-                                "jitter_sigma": settings.jitter_sigma}, sort_keys=True)
+    stamp = (json.dumps({"kind": "settings", **asdict(settings)}, sort_keys=True)
+             + "\n").encode("ascii")
     mpath = os.path.join(cache_dir, "cache_manifest.jsonl")
     try:
         with open(mpath, "rb") as fh:
-            stale = fh.readline() != (settings_line + "\n").encode("ascii")
+            old = fh.read()
     except FileNotFoundError:
-        stale = False
+        old = None
+    # a manifest of older layout (per-file lines after the stamp) is not stale
+    stale = old is not None and not old.startswith(stamp)
 
-    tasks = [(manifest.mesh_path(e), e.model_id, cache_dir, settings,
-              include_voxels, include_views, include_jitter, stale)
-             for e in manifest.entries]
-    report = CacheReport()
+    prep = partial(_prepare_model, cache_dir=cache_dir, settings=settings,
+                   include_voxels=include_voxels, include_views=include_views,
+                   include_jitter=include_jitter, stale=stale)
+    columns = ([manifest.mesh_path(e) for e in manifest.entries],
+               [e.model_id for e in manifest.entries])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sub in pool.map(_prepare_model_star, tasks, chunksize=4):
-                report.merge(sub)
+            subs = list(pool.map(prep, *columns, chunksize=4))
     else:
-        for task in tasks:
-            report.merge(_prepare_model(*task))
+        subs = map(prep, *columns)
+    report = CacheReport()
+    for sub in subs:
+        report.merge(sub)
 
     if stale and report.failures:
         # a failed model may keep files of the old settings: leave the old
         # settings line so that the next preparation regenerates them
         return report
-    lines = [settings_line]
-    for rel in sorted(_expected_files(manifest, settings, include_voxels,
-                                      include_views, include_jitter)):
-        path = os.path.join(cache_dir, rel)
-        if not os.path.exists(path):
-            continue  # the per-model failure is already in the report
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
-        lines.append(json.dumps({"path": rel.replace(os.sep, "/"), "sha256": digest},
-                                sort_keys=True))
-    blob = ("\n".join(lines) + "\n").encode("ascii")
-    if not (os.path.exists(mpath) and open(mpath, "rb").read() == blob):
-        _write_atomic(mpath, blob)
+    if old != stamp:
+        _write_atomic(mpath, stamp)
     return report
-
-
-def _prepare_model_star(task) -> CacheReport:
-    return _prepare_model(*task)
 
 
 def load_voxel_dataset(manifest: DatasetManifest, cache_dir: str,

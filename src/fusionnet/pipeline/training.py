@@ -19,7 +19,7 @@ import numpy as np
 
 from ..models import Network
 from ..nn import tensor as T
-from ..nn.optim import OptimizerConfig, sgd_step, step_lr
+from ..nn.optim import OptimizerConfig, sgd_step
 # unused here; perfbench/tracer.py patches this name until ROADMAP item 5 lands
 from ..nn.weights import write_weights  # noqa: F401
 from ..orientations import derive_seed
@@ -30,8 +30,6 @@ class TrainingConfig:
     epochs: int
     optimizer: OptimizerConfig
     batch_size: int = 32
-    lr_step_epochs: int = 20
-    lr_decay: float = 0.1
     seed: int = 0
     log_path: str | None = None
 
@@ -79,8 +77,6 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
     try:
         for epoch in range(cfg.epochs):
             t0 = time.monotonic()
-            lr = step_lr(cfg.optimizer.learning_rate, epoch,
-                         cfg.lr_step_epochs, cfg.lr_decay)
             perm = order_rng.permutation(len(x))
             loss_sum = 0.0
             correct = np.zeros(k)
@@ -97,7 +93,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
                                      f"{epoch}, batch {batch}; parameters not updated")
                 network.zero_grads()
                 T.backward(loss)
-                sgd_step(network.params, state, cfg.optimizer, learning_rate=lr)
+                sgd_step(network.params, state, cfg.optimizer)
                 loss_sum += batch_loss * len(idx)
                 preds = np.argmax(scores.data, axis=1)
                 np.add.at(correct, yb, preds == yb)

@@ -14,7 +14,7 @@ import pytest
 from fusionnet.cli import DEFAULTS, main
 from fusionnet.nn.gradcheck import CASES
 from fusionnet.nn.weights import read_weights, write_weights
-from fusionnet.pipeline import ScoreTable
+from fusionnet.pipeline import RunConfig, ScoreTable, run_pipeline
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 
@@ -281,6 +281,22 @@ class TestTrainEvalFuse:
         assert "validation metric:" in out and "test metric:" in out
         fused = ScoreTable.from_jsonl(fused_path.read_text())
         assert len(fused.ids) == 2 and fused.network == "fusion"
+
+    def test_val_split_matches_run_pipeline(self, cli_workspace, tmp_path):
+        """train fits the models run_pipeline trains on, and eval --split val
+        scores the fusion validation models it holds out: the weights and
+        both score files are run_pipeline's bytes under the same settings."""
+        run = tmp_path / "pipeline"
+        run_pipeline(RunConfig(out_dir=str(run), synthetic_classes=("box", "sphere"),
+                               synthetic_per_class=3, components=("vcnn1",),
+                               orientation_count=1, resolution=30, epochs=1,
+                               batch_size=4, seed=0))
+        weights = (cli_workspace["run"] / "vcnn1.fnw1").read_bytes()
+        assert weights == (run / "weights" / "vcnn1.fnw1").read_bytes()
+        for split in ("val", "test"):
+            out = tmp_path / f"vcnn1_{split}.jsonl"
+            assert self.eval_split(cli_workspace, split, out) == 0
+            assert out.read_bytes() == (run / "scores" / f"vcnn1_{split}.jsonl").read_bytes()
 
     def test_jitter_component_scores_named_after_it(self, cli_workspace, tmp_path, capsys):
         """vcnn1_jit shares vcnn1's spec, but its score files and the fusion

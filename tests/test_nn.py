@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from fusionnet.nn import OptimizerConfig, Tensor, backward, sgd_step, step_lr
+from fusionnet.nn import OptimizerConfig, Tensor, backward, sgd_step
 from fusionnet.nn import gradcheck as gc
 from fusionnet.nn import tensor as T
 from fusionnet.nn import weights as W
@@ -380,17 +380,9 @@ class TestSgd:
         assert frozen.data[0] == 1.0 and fresh.data[0] == 1.0
         assert state == {}
 
-    def test_learning_rate_override(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([1.0])
-        sgd_step({"w": p}, {}, OptimizerConfig(learning_rate=0.1, momentum=0.0),
-                 learning_rate=0.01)
-        np.testing.assert_allclose(p.data, [0.99])
-
     @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
     def test_in_place_matches_out_of_place_formula(self, weight_decay):
         rng = np.random.default_rng(3)
-        cfg = OptimizerConfig(learning_rate=0.01, momentum=0.9, weight_decay=weight_decay)
         w0 = rng.normal(size=(5, 7)).astype(np.float32)
         p = Tensor(w0.copy(), requires_grad=True)
         alias = p.data
@@ -401,7 +393,8 @@ class TestSgd:
             g = rng.normal(size=w0.shape).astype(np.float32)
             lr = 0.01 if step < 3 else 0.001
             p.grad = g
-            sgd_step({"w": p}, state, cfg, learning_rate=lr)
+            sgd_step({"w": p}, state, OptimizerConfig(learning_rate=lr, momentum=0.9,
+                                                      weight_decay=weight_decay))
             # the update as an out-of-place formula
             gd = g + f(weight_decay) * ref_w if weight_decay else g
             ref_v = f(0.9) * ref_v - f(lr) * gd
@@ -417,17 +410,6 @@ class TestSgd:
             OptimizerConfig(learning_rate=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.1, weight_decay=-1.0)
-
-
-class TestStepLr:
-    def test_decay_boundaries(self):
-        assert step_lr(0.1, 0, 20, 0.1) == 0.1
-        assert step_lr(0.1, 19, 20, 0.1) == 0.1
-        assert abs(step_lr(0.1, 20, 20, 0.1) - 0.01) < 1e-15
-        assert abs(step_lr(0.1, 40, 20, 0.1) - 0.001) < 1e-16
-
-    def test_disabled_schedule(self):
-        assert step_lr(0.1, 100, 0, 0.1) == 0.1
 
 
 class TestWeightsFormat:

@@ -1,9 +1,11 @@
 """Dataset generation, cache lifecycle, training, evaluation, fusion tests."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from fusionnet.pipeline.caches import voxel_rel
 from fusionnet.pipeline.data import SHAPE_KINDS, _GENERATORS
 
 TINY = CacheSettings(orientation_count=2, resolution=16, image_size=32, seed=0)
+STAMP = {"kind": "settings", "orientation_count": 2, "resolution": 16,
+         "image_size": 32, "seed": 0, "jitter_sigma": 5.0}
 
 
 def split_data(load, manifest, cache, split, **kw):
@@ -159,12 +163,56 @@ class TestCacheLifecycle:
 
     def test_corrupt_file_regenerated(self, tiny_dataset, tiny_cache):
         victim = os.path.join(tiny_cache, voxel_rel("box_0000", 1))
-        good = open(victim, "rb").read()
+        with open(victim, "rb") as fh:
+            good = fh.read()
         with open(victim, "wb") as fh:
             fh.write(b"garbage")
         report = prepare_caches(tiny_dataset, tiny_cache, TINY, include_jitter=True)
         assert report.regenerated == 1 and report.written == 0
-        assert open(victim, "rb").read() == good
+        with open(victim, "rb") as fh:
+            assert fh.read() == good
+
+    def test_warm_pass_closes_every_file(self, tiny_dataset, tiny_cache):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            prepare_caches(tiny_dataset, tiny_cache, TINY, include_jitter=True)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_manifest_is_the_settings_stamp(self, tiny_dataset, tmp_path):
+        """The manifest holds only the settings line, and a warm pass leaves
+        the file alone: same bytes, same inode."""
+        cache = str(tmp_path / "cache")
+        prepare_caches(tiny_dataset, cache, TINY)
+        mpath = os.path.join(cache, "cache_manifest.jsonl")
+        with open(mpath, "rb") as fh:
+            cold = fh.read()
+        assert cold == (json.dumps(STAMP, sort_keys=True) + "\n").encode("ascii")
+        inode = os.stat(mpath).st_ino
+        prepare_caches(tiny_dataset, cache, TINY)
+        with open(mpath, "rb") as fh:
+            assert fh.read() == cold
+        assert os.stat(mpath).st_ino == inode
+
+    def test_listing_manifest_is_not_stale(self, tiny_dataset, tmp_path):
+        """A manifest with per-file sha256 lines after the settings line, as
+        older versions wrote it, keeps every file and becomes the stamp alone."""
+        cache = str(tmp_path / "cache")
+        prepare_caches(tiny_dataset, cache, TINY)
+        mpath = os.path.join(cache, "cache_manifest.jsonl")
+        with open(mpath, "rb") as fh:
+            stamp = fh.read()
+        rel = voxel_rel("box_0000", 0).replace(os.sep, "/")
+        with open(os.path.join(cache, rel), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        with open(mpath, "ab") as fh:
+            fh.write((json.dumps({"path": rel, "sha256": digest}, sort_keys=True)
+                      + "\n").encode("ascii"))
+        report = prepare_caches(tiny_dataset, cache, TINY)
+        assert (report.written, report.regenerated, report.failures) == (0, 0, [])
+        assert report.skipped > 0
+        with open(mpath, "rb") as fh:
+            assert fh.read() == stamp
 
     def test_voxel_loader_grouping(self, tiny_dataset, tiny_cache):
         x, y, ids = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
@@ -251,21 +299,18 @@ class TestCacheLifecycle:
         assert (report.written, report.regenerated) == (0, 0) and report.skipped > 0
 
     def test_fewer_orientations_remove_the_rest(self, tmp_path):
-        """Prepping at 3 orientations and then at 2 leaves no _o2 voxel file,
-        and every voxel file on disk is listed in the manifest."""
+        """Prepping at 3 orientations and then at 2 leaves exactly the voxel
+        files of orientations 0 and 1 on disk."""
         manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
                                           out_dir=str(tmp_path / "ds"))
         cache = str(tmp_path / "cache")
         three = dataclasses.replace(TINY, orientation_count=3)
         prepare_caches(manifest, cache, three, include_jitter=True, include_views=False)
         prepare_caches(manifest, cache, TINY, include_jitter=True, include_views=False)
-        on_disk = {f"{d}/{name}" for d in ("voxels", "voxels_jit")
+        on_disk = {os.path.join(d, name) for d in ("voxels", "voxels_jit")
                    for name in os.listdir(os.path.join(cache, d))}
-        assert not any("_o2." in f for f in on_disk)
-        with open(os.path.join(cache, "cache_manifest.jsonl"), encoding="ascii") as fh:
-            listed = {json.loads(line).get("path") for line in fh}
-        assert on_disk == {p for p in listed if p and p.startswith("voxels")}
-        assert len(on_disk) == 2 * 2 * 2  # models x flavors x orientations
+        assert on_disk == {voxel_rel(e.model_id, k, jit) for e in manifest.entries
+                           for k in range(2) for jit in (False, True)}
 
     def test_parallel_prepare_matches_serial(self, tiny_dataset, tmp_path):
         serial = tmp_path / "serial"
