@@ -14,8 +14,6 @@ from .orientations import (
     OrientationSet,
     apply_rotation,
     derive_seed,
-    orientations_from_text,
-    orientations_to_text,
     rotation_matrix,
     sample_orientations,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "OrientationSet",
     "apply_rotation",
     "derive_seed",
-    "orientations_from_text",
-    "orientations_to_text",
     "rotation_matrix",
     "sample_orientations",
     "CameraRig",

@@ -28,8 +28,8 @@ from .pipeline.caches import CacheSettings, prepare_caches
 from .pipeline.data import (SHAPE_KINDS, DatasetManifest, ingest_modelnet,
                             make_synthetic_dataset)
 from .pipeline.evaluation import ScoreTable
-from .pipeline.fusion import FusionWeights, fit_fusion_weights, fuse_scores
-from .pipeline.report import ReportRow, render_report
+from .pipeline.fusion import fit_fusion_weights, fuse_scores
+from .pipeline.report import report_text
 from .pipeline.run import (COMPONENTS, component_spec, score_component,
                            split_fusion_validation, train_component)
 from .pipeline.training import TrainingConfig
@@ -291,26 +291,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise MissingInput(f"metrics not found: {path}")
     with open(path, encoding="utf-8") as fh:
         metrics = json.load(fh)
-    rows = [ReportRow(network=name, views=entry["views"], metric=entry["test"])
-            for name, entry in sorted(metrics["components"].items())]
-    fusion = metrics.get("fusion")
-    fw = None
-    fused_test = None
-    if fusion:
-        comps = sorted(fusion["weights"])
-        fw = FusionWeights(components=tuple(comps),
-                           weights=tuple(fusion["weights"][c] for c in comps))
-        fused_test = fusion["test"]
-    ds = metrics["dataset"]
-    dataset_line = (f"{','.join(ds['classes'])} (train {ds['train']} / "
-                    f"val {ds['val']} / test {ds['test']} models)")
-    st = metrics["settings"]
-    print(render_report("3D shape classification", dataset_line,
-                        {"orientations": st["orientations"],
-                         "resolution": st["resolution"],
-                         "image_size": st["image_size"],
-                         "epochs": st["epochs"], "seed": st["seed"]},
-                        rows, fw, fused_test), end="")
+    print(report_text(metrics), end="")
     return 0
 
 

@@ -164,20 +164,29 @@ def _frozen_paths(spec: NetworkSpec) -> set[str]:
     return out
 
 
+def _check_params(spec: NetworkSpec, arrays: dict, exact: bool = False) -> None:
+    """Raise WeightsError unless ``arrays`` holds each parameter the spec
+    names, with the spec's shape, and with ``exact`` nothing else. A weights
+    file may hold more, such as the velocity records of an older checkpoint."""
+    expected = dict(spec.param_entries())
+    extra = set(arrays) - set(expected)
+    if exact and extra:
+        raise WeightsError(f"layer {min(extra)}: not in the spec")
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise WeightsError(f"layer {name}: missing from weights")
+        if tuple(arrays[name].shape) != shape:
+            raise WeightsError(
+                f"layer {name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
+
+
 class Network:
     """A NetworkSpec bound to parameter tensors."""
 
     def __init__(self, spec: NetworkSpec, params: dict[str, T.Tensor]):
+        _check_params(spec, params, exact=True)
         self.spec = spec
         self.params = params
-        expected = dict(spec.param_entries())
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params)) + sorted(set(params) - set(expected))
-            raise WeightsError(f"parameter set mismatch, first offender {missing[0]!r}")
-        for name, shape in expected.items():
-            if tuple(params[name].shape) != shape:
-                raise WeightsError(
-                    f"layer {name}: expected shape {shape}, got {tuple(params[name].shape)}")
         for name in _frozen_paths(spec):
             params[name].requires_grad = False
 
@@ -194,18 +203,11 @@ class Network:
     @classmethod
     def from_arrays(cls, spec: NetworkSpec, arrays: dict[str, np.ndarray],
                     dtype=np.float32) -> "Network":
-        expected = dict(spec.param_entries())
-        params = {}
-        for name, shape in expected.items():
-            if name not in arrays:
-                raise WeightsError(f"layer {name}: missing from weights")
-            arr = arrays[name]
-            if tuple(arr.shape) != shape:
-                raise WeightsError(
-                    f"layer {name}: expected shape {shape}, got {tuple(arr.shape)}")
-            # a copy: training updates parameters in place, never the caller's arrays
-            params[name] = T.Tensor(np.array(arr, dtype=dtype), requires_grad=True)
-        return cls(spec, params)
+        _check_params(spec, arrays)
+        # a copy: training updates parameters in place, never the caller's arrays
+        return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=dtype),
+                                         requires_grad=True)
+                          for name, _ in spec.param_entries()})
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: np.array(p.data, copy=True) for name, p in self.params.items()}
@@ -257,14 +259,8 @@ def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
                dtype=np.float32) -> tuple[NetworkSpec, dict[str, np.ndarray]]:
     """Reuse all trained weights below the score layer; reinitialize the
     score layer for a new class count."""
+    _check_params(spec, arrays)
     head = _final_fc_index(spec)
-    expected = dict(spec.param_entries())
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise WeightsError(f"layer {name}: missing from weights")
-        if tuple(arrays[name].shape) != shape:
-            raise WeightsError(
-                f"layer {name}: expected shape {shape}, got {tuple(arrays[name].shape)}")
     new_layers = list(spec.layers)
     new_layers[head] = L.fc(new_class_count)
     new_spec = replace(spec, layers=tuple(new_layers), class_count=new_class_count,

@@ -76,25 +76,3 @@ def apply_rotation(mesh: TriangleMesh, o: Orientation) -> TriangleMesh:
     return TriangleMesh(mesh.vertices @ r.T, mesh.faces,
                         class_label=mesh.class_label, source_path=mesh.source_path)
 
-
-def orientations_to_text(oset: OrientationSet) -> str:
-    """One line per pose: "index theta phi", 9 significant digits, radians."""
-    lines = [f"{i} {o.theta:.9g} {o.phi:.9g}" for i, o in enumerate(oset.orientations)]
-    return "\n".join(lines) + "\n"
-
-
-def orientations_from_text(text: str, seed: int = 0) -> OrientationSet:
-    """Inverse of orientations_to_text; indices must run 0, 1, 2, ..."""
-    pairs = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            idx, theta, phi = line.split()
-            idx = int(idx)
-        except ValueError:
-            raise ValueError(f"malformed orientation line: {line!r}") from None
-        if idx != len(pairs):
-            raise ValueError(f"orientation index {idx} out of sequence, expected {len(pairs)}")
-        pairs.append(Orientation(float(theta), float(phi)))
-    return OrientationSet(tuple(pairs), seed=seed, count=len(pairs))

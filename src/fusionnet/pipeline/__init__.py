@@ -9,7 +9,7 @@ from .data import (SHAPE_KINDS, DatasetManifest, ManifestEntry, ingest_modelnet,
 from .evaluation import (ScoreTable, average_per_class_accuracy,
                          confusion_matrix, evaluate_network)
 from .fusion import FusionWeights, fit_fusion_weights, fuse_scores, simplex_grid
-from .report import ReportRow, render_report
+from .report import report_text
 from .run import (COMPONENTS, DEFAULT_COMPONENTS, RunConfig, run_pipeline,
                   split_fusion_validation)
 from .training import EpochRecord, TrainingConfig, train
@@ -22,7 +22,7 @@ __all__ = [
     "ScoreTable", "average_per_class_accuracy", "confusion_matrix",
     "evaluate_network",
     "FusionWeights", "fit_fusion_weights", "fuse_scores", "simplex_grid",
-    "ReportRow", "render_report",
+    "report_text",
     "COMPONENTS", "DEFAULT_COMPONENTS", "RunConfig", "run_pipeline",
     "split_fusion_validation",
     "EpochRecord", "TrainingConfig", "train",

@@ -4,22 +4,25 @@ Layout under the cache directory:
     voxels/<id>_o<k>.voxb        occupancy per orientation k
     voxels_jit/<id>_o<k>.voxb    same, from the jittered mesh copy
     views/<id>_v<k>.pgm          rendered grayscale view k
-    orientations/<id>.txt        the (theta, phi) list used for this model
-    cache_manifest.jsonl         one line: the settings the files were made under
+    stamps/<id>.json             one line: the settings and the mesh sha256
+                                 this model's files were made under
 
-Preparation is idempotent. A file is kept only when the manifest's settings
-line matches the current settings and the file's bytes decode to what those
-settings expect (voxel resolution, image size, the exact orientation text);
-any other file is regenerated in place. When the settings line differs,
-every file is stale and is regenerated, and voxel files of orientations past
-the current count are removed; with no manifest (an interrupted first
-preparation) the decode check alone decides, so a resume keeps its work.
-All writes go through a temp file + rename. Model ids may contain '/'
-(ModelNet); path separators are flattened to '__' in file names.
+Preparation is idempotent, and each model's stamp is its cache key. When the
+stamp matches the current settings and mesh bytes, a file is kept if its
+bytes decode to what those settings expect (voxel resolution, image size);
+a missing or corrupt file is regenerated in place. When the stamp is missing
+or differs, the model is stale: its stamp is removed first, every requested
+file is rebuilt, the files this pass does not rebuild (orientations past the
+count, flavors not asked for) are removed, and the stamp is written last,
+only if nothing failed. An interrupted pass therefore never leaves a stamp
+over files of other settings. All writes go through a temp file + rename.
+Model ids may contain '/' (ModelNet); path separators are flattened to '__'
+in file names.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,9 +33,8 @@ from typing import Callable
 import numpy as np
 
 from ..mesh import JitterConfig, jitter_mesh, normalize_mesh, parse_off
-from ..orientations import (OrientationSet, apply_rotation, derive_seed,
-                            orientations_to_text, sample_orientations)
-from ..render import make_camera_rig, read_pgm, render_view, write_pgm
+from ..orientations import OrientationSet, apply_rotation, derive_seed, sample_orientations
+from ..render import VIEW_COUNT, make_camera_rig, read_pgm, render_view, write_pgm
 from ..voxel import read_voxel_cache, voxelize_surface, write_voxel_cache
 from .data import DatasetManifest, ManifestEntry
 
@@ -73,8 +75,8 @@ def view_rel(model_id: str, view: int) -> str:
     return os.path.join("views", f"{safe_id(model_id)}_v{view}.pgm")
 
 
-def orient_rel(model_id: str) -> str:
-    return os.path.join("orientations", f"{safe_id(model_id)}.txt")
+def stamp_rel(model_id: str) -> str:
+    return os.path.join("stamps", f"{safe_id(model_id)}.json")
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -116,19 +118,23 @@ def model_orientations(model_id: str, settings: CacheSettings) -> OrientationSet
 
 def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
                    settings: CacheSettings, include_voxels: bool,
-                   include_views: bool, include_jitter: bool,
-                   stale: bool) -> CacheReport:
-    """Write the model's cache files; with stale set, no existing file is kept."""
+                   include_views: bool, include_jitter: bool) -> CacheReport:
+    """Write the model's cache files; with a missing or different stamp, no
+    existing file is kept."""
     report = CacheReport()
     try:
         with open(mesh_path, "rb") as fh:
-            raw = parse_off(fh.read(), source_path=mesh_path)
+            data = fh.read()
+        raw = parse_off(data, source_path=mesh_path)
         oset = model_orientations(model_id, settings)
 
-        opath = os.path.join(cache_dir, orient_rel(model_id))
-        otext = orientations_to_text(oset).encode("ascii")
-        if not _kept(opath, stale, bytes, otext, report):
-            _replace_file(opath, otext, report)
+        spath = os.path.join(cache_dir, stamp_rel(model_id))
+        stamp = (json.dumps({**asdict(settings),
+                             "mesh_sha256": hashlib.sha256(data).hexdigest()},
+                            sort_keys=True) + "\n").encode("ascii")
+        stale = not _kept(spath, False, bytes, stamp, report)
+        if stale and os.path.exists(spath):
+            os.remove(spath)  # before any file of this model is rewritten
 
         flavors = []
         if include_voxels:
@@ -146,12 +152,6 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
                 turned = normalize_mesh(apply_rotation(mesh, o))
                 grid = voxelize_surface(turned, resolution=settings.resolution)
                 _replace_file(path, write_voxel_cache(grid), report)
-        if stale:  # orientations past the current count are no longer named
-            for jit in (False, True):
-                k = settings.orientation_count
-                while os.path.exists(path := os.path.join(cache_dir, voxel_rel(model_id, k, jit))):
-                    os.remove(path)
-                    k += 1
 
         if include_views:
             rig = make_camera_rig(settings.image_size)
@@ -163,6 +163,16 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
                     continue
                 img = render_view(normalized, rig, v)
                 _replace_file(path, write_pgm(img), report)
+
+        if stale:  # files this pass did not rebuild were made under other settings
+            n = settings.orientation_count
+            for rel, k in ((lambda k: voxel_rel(model_id, k), n * include_voxels),
+                           (lambda k: voxel_rel(model_id, k, True), n * include_jitter),
+                           (lambda k: view_rel(model_id, k), VIEW_COUNT * include_views)):
+                while os.path.exists(path := os.path.join(cache_dir, rel(k))):
+                    os.remove(path)
+                    k += 1
+            _replace_file(spath, stamp, report)
     except (ValueError, OSError) as exc:
         report.failures.append(f"{model_id}: {exc}")
     return report
@@ -172,25 +182,14 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
                    settings: CacheSettings, include_voxels: bool = True,
                    include_views: bool = True, include_jitter: bool = False,
                    jobs: int = 1) -> CacheReport:
-    """Build every cache file the manifest implies, skipping valid ones made
-    under the same settings, then stamp the manifest with those settings."""
-    for sub in ("voxels", "views", "orientations") + (("voxels_jit",) if include_jitter else ()):
+    """Build every cache file the manifest implies, keeping valid files of
+    models whose stamp matches the current settings and mesh bytes."""
+    for sub in ("voxels", "views", "stamps") + (("voxels_jit",) if include_jitter else ()):
         os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
-
-    stamp = (json.dumps({"kind": "settings", **asdict(settings)}, sort_keys=True)
-             + "\n").encode("ascii")
-    mpath = os.path.join(cache_dir, "cache_manifest.jsonl")
-    try:
-        with open(mpath, "rb") as fh:
-            old = fh.read()
-    except FileNotFoundError:
-        old = None
-    # a manifest of older layout (per-file lines after the stamp) is not stale
-    stale = old is not None and not old.startswith(stamp)
 
     prep = partial(_prepare_model, cache_dir=cache_dir, settings=settings,
                    include_voxels=include_voxels, include_views=include_views,
-                   include_jitter=include_jitter, stale=stale)
+                   include_jitter=include_jitter)
     columns = ([manifest.mesh_path(e) for e in manifest.entries],
                [e.model_id for e in manifest.entries])
     if jobs > 1:
@@ -201,13 +200,6 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
     report = CacheReport()
     for sub in subs:
         report.merge(sub)
-
-    if stale and report.failures:
-        # a failed model may keep files of the old settings: leave the old
-        # settings line so that the next preparation regenerates them
-        return report
-    if old != stamp:
-        _write_atomic(mpath, stamp)
     return report
 
 

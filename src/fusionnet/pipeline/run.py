@@ -36,7 +36,7 @@ from .caches import (CacheSettings, load_view_dataset, load_voxel_dataset,
 from .data import DatasetManifest, ManifestEntry, ingest_modelnet, make_synthetic_dataset
 from .evaluation import ScoreTable, evaluate_network
 from .fusion import fit_fusion_weights, fuse_scores
-from .report import ReportRow, render_report
+from .report import report_text
 from .training import EpochRecord, TrainingConfig, train
 
 
@@ -211,11 +211,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
     core, val = split_fusion_validation(manifest, cfg.seed)
     test = manifest.split_entries("test")
 
-    component_rows: list[ReportRow] = []
+    label = "synthetic " + ",".join(classes) if cfg.data_root is None else cfg.data_root
     metrics: dict = {
-        "dataset": {"classes": list(classes),
+        "dataset": {"classes": list(classes), "label": label,
                     "train": len(core), "val": len(val), "test": len(test)},
-        "settings": {"orientations": cfg.orientation_count,
+        "settings": {"components": list(cfg.components),
+                     "orientations": cfg.orientation_count,
                      "resolution": cfg.resolution,
                      "image_size": cfg.image_size,
                      "epochs": cfg.epochs, "batch_size": cfg.batch_size,
@@ -248,18 +249,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
             entry[split_name] = table.metric
             entry[f"{split_name}_per_class"] = table.per_class(classes)
             tables[split_name].append(table)
-        views = cfg.orientation_count if COMPONENTS[name].source == "voxel" else VIEW_COUNT
-        entry["views"] = views
+        entry["views"] = (cfg.orientation_count if COMPONENTS[name].source == "voxel"
+                          else VIEW_COUNT)
         metrics["components"][name] = entry
-        component_rows.append(ReportRow(network=name, views=views,
-                                        metric=entry["test"]))
         del network  # frees its parameters and gradients before the next one trains
 
     names = list(cfg.components)
     fw, fused_val = fit_fusion_weights(tables["val"], names, step=cfg.fusion_step,
                                        normalize=cfg.softmax_fusion)
     fused = fuse_scores(tables["test"], fw, normalize=cfg.softmax_fusion)
-    fused_test = fused.metric
     with open(os.path.join(cfg.out_dir, "scores", "fusion_test.jsonl"), "w",
               encoding="utf-8") as fh:
         fh.write(fused.to_jsonl())
@@ -279,19 +277,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
         wins += int(all(m >= c for c in comp_test))
 
     metrics["fusion"] = {"weights": fw.as_dict(), "val": fused_val,
-                         "test": fused_test, "seed_metrics": seed_metrics,
+                         "test": fused.metric, "seed_metrics": seed_metrics,
                          "seed_wins": wins, "seed_count": cfg.fusion_seeds}
 
-    dataset_line = (f"{'synthetic ' + ','.join(classes) if cfg.data_root is None else cfg.data_root}"
-                    f" (train {len(core)} / val {len(val)} / test {len(test)} models)")
-    text = render_report("3D shape classification", dataset_line,
-                         {"orientations": cfg.orientation_count,
-                          "resolution": cfg.resolution,
-                          "image_size": cfg.image_size,
-                          "epochs": cfg.epochs, "seed": cfg.seed},
-                         component_rows, fw, fused_test)
     with open(os.path.join(cfg.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(report_text(metrics))
     with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, sort_keys=True, indent=2)
         fh.write("\n")

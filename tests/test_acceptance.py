@@ -294,7 +294,7 @@ def test_criterion_10_optional_modelnet40(tmp_path):
         record_skip(10, "optional full-data track", "ModelNet40 not present")
         pytest.skip("ModelNet40 not present")
     from fusionnet.pipeline import ingest_modelnet, prepare_caches
-    from fusionnet.pipeline.report import ReportRow, render_report
+    from fusionnet.pipeline.report import report_text
 
     manifest = ingest_modelnet(root)
     settings = CacheSettings(orientation_count=1, resolution=30,
@@ -314,10 +314,13 @@ def test_criterion_10_optional_modelnet40(tmp_path):
                                      manifest.split_entries("test"))
     result = evaluate_network(network, xt, yt, ids, manifest.classes,
                               voxels_to_input)
-    text = render_report("3D shape classification",
-                         f"ModelNet40 ({len(manifest.entries)} models)",
-                         {"orientations": 1, "epochs": 1, "seed": 7},
-                         [ReportRow("vcnn1", 1, result.metric)], None, None)
+    text = report_text({
+        "dataset": {"classes": manifest.classes, "label": "ModelNet40",
+                    "train": len(manifest.split_entries("train")), "val": 0,
+                    "test": len(ids)},
+        "settings": {"components": ["vcnn1"], "orientations": 1, "resolution": 30,
+                     "image_size": 64, "epochs": 1, "seed": 7},
+        "components": {"vcnn1": {"views": 1, "test": result.metric}}})
     ok = "vcnn1" in text
     record_criterion(10, "optional full-data track", ok,
                      f"metric {result.metric:.3f} (not asserted)")

@@ -376,6 +376,19 @@ class TestReportCommand:
         assert "vcnn1" in out and "fusion weights: vcnn1=1.00" in out
         assert "box,sphere" in out
 
+    def test_prints_the_run_report(self, tmp_path, capsys):
+        """`report` prints report.txt byte for byte, in the run's component
+        order (not sorted) and with the run's dataset label."""
+        run_pipeline(RunConfig(out_dir=str(tmp_path), synthetic_classes=("box", "sphere"),
+                               synthetic_per_class=4, components=("vcnn1_jit", "vcnn1"),
+                               orientation_count=1, epochs=1, batch_size=4, seed=2,
+                               fusion_seeds=1))
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert printed == (tmp_path / "report.txt").read_bytes()
+        assert b"dataset: synthetic box,sphere" in printed
+        assert printed.index(b"vcnn1_jit ") < printed.index(b"vcnn1 ")
+
     def test_without_fusion_block(self, tmp_path, capsys):
         (tmp_path / "metrics.json").write_text(
             json.dumps(self.metrics(with_fusion=False)))

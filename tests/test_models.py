@@ -106,6 +106,12 @@ class TestNetwork:
         wrong[first] = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(WeightsError):
             Network.from_arrays(spec, wrong)
+        # a weights file may carry more records; a network holds only its own
+        extra = {**arrays, "velocity.m": np.zeros(1, dtype=np.float32)}
+        params = Network.from_arrays(spec, extra).params
+        assert set(params) == set(arrays)
+        with pytest.raises(WeightsError, match="not in the spec"):
+            Network(spec, {**params, "velocity.m": params[first]})
 
     def test_forward_batch_shape(self):
         spec = build_vcnn1(6)

@@ -1,4 +1,4 @@
-"""Rotation sampling, seed derivation, and sidecar roundtrip tests."""
+"""Rotation sampling, seed derivation, and pose validation tests."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from fusionnet.orientations import (Orientation, OrientationSet, apply_rotation,
-                                    derive_seed, orientations_from_text,
-                                    orientations_to_text, rotation_matrix,
-                                    sample_orientations)
+                                    derive_seed, rotation_matrix, sample_orientations)
 
 
 class TestRotationMatrix:
@@ -114,44 +112,12 @@ class TestSampleOrientations:
             sample_orientations(0, seed=0)
 
 
-class TestSidecarRoundtrip:
-    def test_roundtrip_close(self):
-        s = sample_orientations(60, seed=99)
-        back = orientations_from_text(orientations_to_text(s), seed=s.seed)
-        assert back.count == s.count and back.seed == s.seed
-        for x, y in zip(s.orientations, back.orientations):
-            # 9 significant digits of text, not bit-exact
-            assert abs(x.theta - y.theta) <= 1e-8
-            assert abs(x.phi - y.phi) <= 1e-8
-
-    def test_text_is_deterministic(self):
-        s = sample_orientations(12, seed=3)
-        assert orientations_to_text(s) == orientations_to_text(s)
-
-    def test_reparse_fixed_point(self):
-        """Parsing then re-serializing reproduces the text byte for byte, so
-        a sidecar rewritten from its own contents never churns on disk."""
-        s = sample_orientations(30, seed=8)
-        text = orientations_to_text(s)
-        again = orientations_to_text(orientations_from_text(text))
-        assert again == text
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            orientations_from_text("not a sidecar\n")
-        with pytest.raises(ValueError):
-            orientations_from_text("0 0.5\n")  # missing phi column
-
-    def test_shuffled_indices_rejected(self):
-        s = sample_orientations(4, seed=0)
-        lines = orientations_to_text(s).splitlines()
-        lines[0], lines[1] = lines[1], lines[0]
-        with pytest.raises(ValueError, match="out of sequence"):
-            orientations_from_text("\n".join(lines) + "\n")
-
+class TestOrientation:
     def test_out_of_range_angle_rejected(self):
-        with pytest.raises(ValueError):
-            orientations_from_text("0 9.99 0.0\n")
+        with pytest.raises(ValueError, match="theta"):
+            Orientation(9.99, 0.0)
+        with pytest.raises(ValueError, match="phi"):
+            Orientation(0.0, 2.0 * math.pi)
 
 
 class TestOrientationSet:

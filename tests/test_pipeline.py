@@ -5,6 +5,8 @@ import gc
 import hashlib
 import json
 import os
+import pathlib
+import shutil
 import warnings
 
 import numpy as np
@@ -17,21 +19,22 @@ from fusionnet.nn.weights import write_weights
 from fusionnet.orientations import derive_seed
 from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
                                 EpochRecord, FusionWeights, ManifestEntry,
-                                ReportRow, RunConfig, ScoreTable, TrainingConfig,
+                                RunConfig, ScoreTable, TrainingConfig,
                                 average_per_class_accuracy, confusion_matrix,
                                 evaluate_network, fit_fusion_weights,
                                 fuse_scores, load_view_dataset,
                                 load_voxel_dataset, make_icosphere,
                                 make_synthetic_dataset, prepare_caches,
-                                render_report, run_pipeline,
+                                report_text, run_pipeline,
                                 simplex_grid, split_fusion_validation, train,
                                 views_to_input, voxels_to_input)
-from fusionnet.pipeline.caches import voxel_rel
+from fusionnet.pipeline.caches import safe_id, stamp_rel, voxel_rel
 from fusionnet.pipeline.data import SHAPE_KINDS, _GENERATORS
 
 TINY = CacheSettings(orientation_count=2, resolution=16, image_size=32, seed=0)
-STAMP = {"kind": "settings", "orientation_count": 2, "resolution": 16,
-         "image_size": 32, "seed": 0, "jitter_sigma": 5.0}
+STAMP = {"orientation_count": 2, "resolution": 16, "image_size": 32, "seed": 0,
+         "jitter_sigma": 5.0}
+PER_MODEL = 1 + TINY.orientation_count + 20  # stamp, grids, views; no jitter
 
 
 def split_data(load, manifest, cache, split, **kw):
@@ -179,40 +182,41 @@ class TestCacheLifecycle:
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_manifest_is_the_settings_stamp(self, tiny_dataset, tmp_path):
-        """The manifest holds only the settings line, and a warm pass leaves
-        the file alone: same bytes, same inode."""
+    def test_stamp_is_the_model_key(self, tiny_dataset, tmp_path):
+        """Each model's stamp is one sorted-key JSON line of the settings and
+        its mesh's sha256, and a warm pass leaves it alone: same bytes, same
+        inode. No global manifest or orientation listing is written."""
         cache = str(tmp_path / "cache")
         prepare_caches(tiny_dataset, cache, TINY)
-        mpath = os.path.join(cache, "cache_manifest.jsonl")
-        with open(mpath, "rb") as fh:
-            cold = fh.read()
-        assert cold == (json.dumps(STAMP, sort_keys=True) + "\n").encode("ascii")
-        inode = os.stat(mpath).st_ino
-        prepare_caches(tiny_dataset, cache, TINY)
-        with open(mpath, "rb") as fh:
-            assert fh.read() == cold
-        assert os.stat(mpath).st_ino == inode
-
-    def test_listing_manifest_is_not_stale(self, tiny_dataset, tmp_path):
-        """A manifest with per-file sha256 lines after the settings line, as
-        older versions wrote it, keeps every file and becomes the stamp alone."""
-        cache = str(tmp_path / "cache")
-        prepare_caches(tiny_dataset, cache, TINY)
-        mpath = os.path.join(cache, "cache_manifest.jsonl")
-        with open(mpath, "rb") as fh:
-            stamp = fh.read()
-        rel = voxel_rel("box_0000", 0).replace(os.sep, "/")
-        with open(os.path.join(cache, rel), "rb") as fh:
+        assert sorted(os.listdir(cache)) == ["stamps", "views", "voxels"]
+        assert sorted(os.listdir(os.path.join(cache, "stamps"))) == sorted(
+            f"{safe_id(e.model_id)}.json" for e in tiny_dataset.entries)
+        entry = tiny_dataset.entries[0]
+        with open(tiny_dataset.mesh_path(entry), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        with open(mpath, "ab") as fh:
-            fh.write((json.dumps({"path": rel, "sha256": digest}, sort_keys=True)
-                      + "\n").encode("ascii"))
-        report = prepare_caches(tiny_dataset, cache, TINY)
-        assert (report.written, report.regenerated, report.failures) == (0, 0, [])
-        assert report.skipped > 0
-        with open(mpath, "rb") as fh:
-            assert fh.read() == stamp
+        spath = os.path.join(cache, stamp_rel(entry.model_id))
+        with open(spath, "rb") as fh:
+            cold = fh.read()
+        assert cold == (json.dumps({**STAMP, "mesh_sha256": digest}, sort_keys=True)
+                        + "\n").encode("ascii")
+        inode = os.stat(spath).st_ino
+        prepare_caches(tiny_dataset, cache, TINY)
+        with open(spath, "rb") as fh:
+            assert fh.read() == cold
+        assert os.stat(spath).st_ino == inode
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_counts(self, tiny_dataset, tmp_path, jobs):
+        """A cold pass writes, per model, a stamp, a grid per orientation and
+        flavor, and 20 views; a warm pass skips exactly as many files."""
+        cache = str(tmp_path / "cache")
+        files = len(tiny_dataset.entries) * (1 + TINY.orientation_count * 2 + 20)
+        cold = prepare_caches(tiny_dataset, cache, TINY, include_jitter=True, jobs=jobs)
+        assert (cold.written, cold.skipped, cold.regenerated, cold.failures) == (
+            files, 0, 0, [])
+        warm = prepare_caches(tiny_dataset, cache, TINY, include_jitter=True, jobs=jobs)
+        assert (warm.written, warm.skipped, warm.regenerated, warm.failures) == (
+            0, files, 0, [])
 
     def test_voxel_loader_grouping(self, tiny_dataset, tiny_cache):
         x, y, ids = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
@@ -250,32 +254,59 @@ class TestCacheLifecycle:
 
     @pytest.mark.parametrize("change", [{"seed": 1}, {"orientation_count": 3},
                                         {"jitter_sigma": 0.5}, {"resolution": 12},
-                                        {"image_size": 16}], ids=lambda c: next(iter(c)))
-    def test_changed_settings_regenerate(self, tiny_dataset, tmp_path, change):
-        """Files made under other settings are rebuilt, not kept because
-        their headers parse, and then match a fresh build byte for byte."""
-        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
-        prepare_caches(tiny_dataset, cache, TINY, include_jitter=True)
-        before = sum(len(files) for _, _, files in os.walk(cache))
-        changed = dataclasses.replace(TINY, **change)
-        report = prepare_caches(tiny_dataset, cache, changed, include_jitter=True)
-        assert report.failures == [] and report.skipped == 0
-        assert report.regenerated == before - 1  # all but the manifest
-        prepare_caches(tiny_dataset, fresh, changed, include_jitter=True)
-        for dirpath, _, files in os.walk(fresh):
-            for name in files:
-                got = os.path.join(cache, os.path.relpath(os.path.join(dirpath, name), fresh))
-                with open(got, "rb") as a, open(os.path.join(dirpath, name), "rb") as b:
-                    assert a.read() == b.read(), got
-        again = prepare_caches(tiny_dataset, cache, changed, include_jitter=True)
-        assert (again.written, again.regenerated, again.failures) == (0, 0, [])
+                                        {"image_size": 16}, {"mesh": True}],
+                             ids=lambda c: next(iter(c)))
+    def test_changed_settings_regenerate(self, tmp_path, change):
+        """Files made under other settings or from other mesh bytes are
+        rebuilt, not kept because their headers parse, whether or not the
+        stamps are on disk; the cache then matches a fresh build byte for
+        byte, and a rerun writes nothing."""
+        settings = dataclasses.replace(TINY, **{k: v for k, v in change.items()
+                                                if k != "mesh"})
+        for drop_stamps in (False, True):
+            root = tmp_path / f"drop_stamps_{drop_stamps}"
+            manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
+                                              out_dir=str(root / "ds"))
+            cache = str(root / "cache")
+            prepare_caches(manifest, cache, TINY, include_jitter=True)
+            before = sum(len(os.listdir(os.path.join(cache, d)))
+                         for d in ("voxels", "voxels_jit", "views"))
+            if drop_stamps:
+                shutil.rmtree(os.path.join(cache, "stamps"))
+            if "mesh" in change:  # swap the two meshes' bytes
+                paths = [pathlib.Path(manifest.mesh_path(e)) for e in manifest.entries]
+                meshes = [path.read_bytes() for path in paths]
+                for path, data in zip(paths, reversed(meshes)):
+                    path.write_bytes(data)
+            report = prepare_caches(manifest, cache, settings, include_jitter=True)
+            assert report.failures == [] and report.skipped == 0
+            assert report.regenerated == before
+            prepare_caches(manifest, str(root / "fresh"), settings, include_jitter=True)
+            assert tree_digest(cache) == tree_digest(root / "fresh")
+            again = prepare_caches(manifest, cache, settings, include_jitter=True)
+            assert (again.written, again.regenerated, again.failures) == (0, 0, [])
 
-    def test_failed_stale_pass_stays_stale(self, tmp_path):
-        """A model that fails while the files are stale keeps its old files,
-        so the old settings line stays and the next pass rebuilds them."""
+    def test_flavor_left_out_of_a_stale_pass(self, tmp_path):
+        """A stale pass without jitter removes the jittered grids of the old
+        settings, so a later pass with jitter rebuilds them."""
         manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
                                           out_dir=str(tmp_path / "ds"))
-        cache = str(tmp_path / "cache")
+        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
+        changed = dataclasses.replace(TINY, seed=1)
+        prepare_caches(manifest, cache, TINY, include_jitter=True)
+        prepare_caches(manifest, cache, changed)
+        assert os.listdir(os.path.join(cache, "voxels_jit")) == []
+        report = prepare_caches(manifest, cache, changed, include_jitter=True)
+        assert report.written == len(manifest.entries) * TINY.orientation_count
+        prepare_caches(manifest, fresh, changed, include_jitter=True)
+        assert tree_digest(cache) == tree_digest(fresh)
+
+    def test_failed_stale_pass_stays_stale(self, tmp_path):
+        """A model that fails keeps no stamp of the new settings, so the next
+        pass rebuilds it, and only it, to match a fresh build."""
+        manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
+                                          out_dir=str(tmp_path / "ds"))
+        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
         prepare_caches(manifest, cache, TINY)
         mesh_path = manifest.mesh_path(manifest.entries[0])
         with open(mesh_path, "rb") as fh:
@@ -287,16 +318,30 @@ class TestCacheLifecycle:
         with open(mesh_path, "wb") as fh:
             fh.write(good)
         report = prepare_caches(manifest, cache, changed)
-        assert report.failures == [] and report.skipped == 0
+        assert report.failures == [] and report.skipped == PER_MODEL
+        assert (report.written, report.regenerated) == (1, PER_MODEL - 1)
+        prepare_caches(manifest, fresh, changed)
+        assert tree_digest(cache) == tree_digest(fresh)
 
-    def test_missing_manifest_keeps_valid_files(self, tiny_dataset, tmp_path):
-        """An interrupted first preparation leaves no manifest; the resume
-        keeps every file that passes its header check."""
-        cache = str(tmp_path / "cache")
-        prepare_caches(tiny_dataset, cache, TINY)
-        os.remove(os.path.join(cache, "cache_manifest.jsonl"))
-        report = prepare_caches(tiny_dataset, cache, TINY)
-        assert (report.written, report.regenerated) == (0, 0) and report.skipped > 0
+    def test_interrupted_pass_rebuilds_unstamped_models(self, tmp_path):
+        """A pass cut short leaves stamps only on the models it finished; the
+        resume keeps those and rebuilds the rest, whose files may be of other
+        settings although they decode."""
+        manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
+                                          out_dir=str(tmp_path / "ds"))
+        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
+        changed = dataclasses.replace(TINY, seed=1)
+        prepare_caches(manifest, cache, TINY)
+        first, second = manifest.entries
+        # the cut pass finished the second model, and had begun the first
+        prepare_caches(DatasetManifest(entries=[second], classes=[],
+                                       root=manifest.root), cache, changed)
+        os.remove(os.path.join(cache, stamp_rel(first.model_id)))
+        report = prepare_caches(manifest, cache, changed)
+        assert report.failures == [] and report.skipped == PER_MODEL
+        assert (report.written, report.regenerated) == (1, PER_MODEL - 1)
+        prepare_caches(manifest, fresh, changed)
+        assert tree_digest(cache) == tree_digest(fresh)
 
     def test_fewer_orientations_remove_the_rest(self, tmp_path):
         """Prepping at 3 orientations and then at 2 leaves exactly the voxel
@@ -761,16 +806,38 @@ class TestSplitFusionValidation:
 
 
 class TestRenderReport:
+    METRICS = {
+        "dataset": {"classes": ["box", "sphere"], "label": "synthetic box,sphere",
+                    "train": 4, "val": 2, "test": 2},
+        "settings": {"components": ["vcnn1", "mvnet"], "orientations": 12,
+                     "resolution": 30, "image_size": 64, "epochs": 10, "seed": 7,
+                     "batch_size": 4},
+        "components": {"mvnet": {"views": 20, "test": 0.9},
+                       "vcnn1": {"views": 12, "test": 0.95}},
+        "fusion": {"weights": {"mvnet": 0.45, "vcnn1": 0.55}, "test": 0.975},
+    }
+
     def test_deterministic_text(self):
-        rows = [ReportRow("vcnn1", 12, 0.95), ReportRow("mvnet", 20, 0.9)]
-        fw = FusionWeights(("vcnn1", "mvnet"), (0.55, 0.45))
-        text = render_report("results", "synthetic (x models)",
-                             {"seed": 7, "epochs": 10}, rows, fw, 0.975)
-        assert text == render_report("results", "synthetic (x models)",
-                                     {"epochs": 10, "seed": 7}, rows, fw, 0.975)
-        assert "vcnn1" in text and "0.9500" in text
-        assert "fusion weights: vcnn1=0.55 mvnet=0.45" in text
-        assert text.endswith("\n")
+        text = report_text(self.METRICS)
+        assert text == (
+            "3D shape classification\n"
+            "dataset: synthetic box,sphere (train 4 / val 2 / test 2 models)\n"
+            "settings: epochs=10 image_size=64 orientations=12 resolution=30 seed=7\n"
+            "\n"
+            "network  views  avg per-class accuracy\n"
+            "vcnn1       12  0.9500\n"
+            "mvnet       20  0.9000\n"
+            "fusion       -  0.9750\n"
+            "\n"
+            "fusion weights: vcnn1=0.55 mvnet=0.45\n")
+        assert report_text(json.loads(json.dumps(self.METRICS, sort_keys=True))) == text
+
+    def test_older_metrics_fall_back_to_sorted_names(self):
+        old = json.loads(json.dumps(self.METRICS))
+        del old["dataset"]["label"], old["settings"]["components"], old["fusion"]
+        text = report_text(old)
+        assert "dataset: box,sphere (train 4" in text
+        assert text.index("mvnet") < text.index("vcnn1") and "fusion" not in text
 
 
 @pytest.fixture(scope="module")
