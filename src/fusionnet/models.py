@@ -204,8 +204,8 @@ class Network:
     def from_arrays(cls, spec: NetworkSpec, arrays: dict[str, np.ndarray],
                     dtype=np.float32) -> "Network":
         _check_params(spec, arrays)
-        # a copy: training updates parameters in place, never the caller's arrays
-        return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=dtype),
+        # a C-ordered copy: training updates it in place through flat views
+        return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=dtype, order="C"),
                                          requires_grad=True)
                           for name, _ in spec.param_entries()})
 

@@ -4,7 +4,8 @@ Every operation records a backward closure on a tape; backward() replays the
 tape in reverse topological order. Only the ops the networks need exist:
 conv2d, relu, maxpool2d, dropout, fully_connected, concat, view_maxpool, and
 softmax cross-entropy. Ops preserve the input dtype, so the same graph runs
-in float32 for training and float64 for gradient checking.
+in float32 for training and float64 for gradient checking. relu emits +0.0
+for every zero, so maxpool2d after a ReLU never needs its zero-sign fix-up.
 
 All matrix products route through _matmul, which pads single-row operands to
 two rows. BLAS dispatches M = 1 to a vector kernel whose accumulation order
@@ -119,7 +120,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             cols[:, :, ki, kj] = xp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride]
     patches = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * k * k)
     wmat = w.data.reshape(f, c * k * k)
-    out = _matmul(patches, wmat.T) + b.data
+    out = _matmul(patches, wmat.T)
+    out += b.data
     out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def back(g: np.ndarray) -> None:
@@ -129,16 +131,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if b.requires_grad or b._parents:
             _accumulate(b, gmat.sum(axis=0))
         if x.requires_grad or x._parents:
-            dcols = _matmul(gmat, wmat).reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-            hp, wp = h + 2 * padding, wd + 2 * padding
-            dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+            # channels-last col2im: NCHW's (ki, kj) adds, each over c contiguous values
+            dcols = _matmul(gmat, wmat).reshape(n, ho, wo, c, k, k)
+            dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
             for ki in range(k):
                 for kj in range(k):
-                    dxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += \
-                        dcols[:, :, ki, kj]
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            _accumulate(x, dxp)
+                    dxp[:, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += \
+                        dcols[..., ki, kj]
+            dxp = dxp[:, padding:padding + h, padding:padding + wd]
+            _accumulate(x, np.ascontiguousarray(dxp.transpose(0, 3, 1, 2)))
 
     return _node(out, (x, w, b), back)
 
@@ -149,7 +150,7 @@ def relu(x: Tensor) -> Tensor:
     def back(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
 
-    return _node(x.data * mask, (x,), back)
+    return _node(np.maximum(x.data, 0), (x,), back)
 
 
 def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -158,8 +159,9 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
     Works on the size*size strided taps x[:, :, a::size, b::size] of the
     input, with no window copy. As with argmax, the first maximum in
     (row, col) order wins a tie: it gives the output its bits (the sign of a
-    zero maximum) and receives the gradient. A NaN counts as the maximum, so
-    a window holding NaN outputs its first NaN, which takes the gradient.
+    zero maximum) and receives the gradient; the zero-sign fix-up runs only if
+    an input has its sign bit set. A NaN counts as the maximum, so a window
+    holding NaN outputs its first NaN, which takes the gradient.
     """
     _, _, h, w = x.shape
     if h % size or w % size:
@@ -172,7 +174,7 @@ def maxpool2d(x: Tensor, size: int = 2) -> Tensor:
     # np.maximum keeps the first of two NaNs, as argmax does, but leaves the
     # sign of a tie between zeros open: copy in the first zero
     zero = out == 0
-    if zero.any():
+    if zero.any() and np.signbit(x.data).any():
         for t in reversed(taps):
             np.copyto(out, t, where=zero & (t == 0))
 
@@ -224,7 +226,8 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"fully_connected expects {in_units} inputs, got {x2.shape[1]}")
     if b.shape != (out_units,):
         raise ValueError(f"bias must have shape ({out_units},), got {b.shape}")
-    out = _matmul(x2, w.data.T) + b.data
+    out = _matmul(x2, w.data.T)
+    out += b.data
 
     def back(g: np.ndarray) -> None:
         if w.requires_grad or w._parents:

@@ -1,4 +1,5 @@
-"""Tensor op semantics, optimizer arithmetic, weights format, gradcheck."""
+"""Tensor op semantics, optimizer arithmetic, weights format, gradcheck, and
+whole training steps against the reference ops kept here."""
 
 import math
 import struct
@@ -6,10 +7,12 @@ import struct
 import numpy as np
 import pytest
 
+from fusionnet.models import BUILDERS, Network
 from fusionnet.nn import OptimizerConfig, Tensor, backward, sgd_step
 from fusionnet.nn import gradcheck as gc
 from fusionnet.nn import tensor as T
 from fusionnet.nn import weights as W
+from fusionnet.pipeline import training, views_to_input, voxels_to_input
 
 
 def conv2d_reference(x, w, b, stride, padding):
@@ -29,7 +32,59 @@ def conv2d_reference(x, w, b, stride, padding):
     return out
 
 
+def conv2d_backward_reference(g, w, x_shape, stride, padding):
+    """conv2d's input gradient by strided col2im into an NCHW buffer: the
+    (ki, kj) adds of the shipped channels-last col2im, laid out channel-first."""
+    n, c, h, wd = x_shape
+    f, _, k, _ = w.shape
+    _, _, ho, wo = g.shape
+    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    dcols = (T._matmul(gmat, w.reshape(f, c * k * k))
+             .reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2))
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += \
+                dcols[:, :, ki, kj]
+    return dxp[:, :, padding:hp - padding, padding:wp - padding]
+
+
+# (x shape, w shape, stride, padding): small odd shapes, then vcnn2's and
+# mvnet's layers at batch 2
+CONV_BACKWARD_CASES = [
+    ((2, 3, 7, 9), (4, 3, 1, 1), 1, 0),
+    ((2, 3, 7, 9), (4, 3, 3, 3), 1, 1),
+    ((2, 3, 9, 11), (4, 3, 3, 3), 2, 0),
+    ((2, 3, 9, 11), (4, 3, 3, 3), 2, 2),
+    ((2, 3, 9, 9), (4, 3, 5, 5), 1, 2),
+    ((2, 3, 11, 11), (4, 3, 5, 5), 2, 1),
+    ((2, 30, 30, 30), (20, 30, 1, 1), 1, 0),
+    ((2, 30, 30, 30), (20, 30, 3, 3), 1, 1),
+    ((2, 30, 30, 30), (20, 30, 5, 5), 1, 2),
+    ((2, 60, 30, 30), (30, 60, 3, 3), 1, 1),
+    ((2, 3, 64, 64), (16, 3, 3, 3), 1, 1),
+    ((2, 16, 32, 32), (32, 16, 3, 3), 1, 1),
+    ((2, 32, 16, 16), (64, 32, 3, 3), 1, 1),
+]
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_BACKWARD_CASES)
+    def test_input_gradient_bit_identical_to_nchw_col2im(self, x_shape, w_shape, stride,
+                                                          padding, dtype):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride + padding)
+        x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape).astype(dtype))
+        b = Tensor(rng.normal(size=w_shape[0]).astype(dtype))
+        out = T.conv2d(x, w, b, stride, padding)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out._backward(g)
+        want = conv2d_backward_reference(g, w.data, x_shape, stride, padding)
+        assert x.grad.dtype == dtype and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
     def test_matches_loop_oracle(self, stride, padding):
         rng = np.random.default_rng(stride * 10 + padding)
@@ -91,7 +146,32 @@ class TestConv2d:
         assert T.conv2d(x, w, b).dtype == np.float32
 
 
+def relu_reference(x):
+    """relu as x * mask, whose zeros are -0.0 for negative inputs."""
+    mask = x.data > 0
+    return T._node(x.data * mask, (x,), lambda g: T._accumulate(x, g * mask))
+
+
 class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_mask_product_with_positive_zeros(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 4, 8, 8)).astype(dtype)
+        x[0, 0] = 0.0
+        x[0, 1] = -0.0
+        x[1, 0, ::2] = -x[1, 0, ::2] * 0.0  # zeros of both signs
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[2, 0] = -0.0
+        xt, xr = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, ref = T.relu(xt), relu_reference(xr)
+        np.testing.assert_array_equal(out.data, ref.data)
+        assert out.data.dtype == dtype
+        assert not np.signbit(out.data[out.data == 0]).any()
+        assert np.signbit(ref.data[ref.data == 0]).any()  # the zeros that did move
+        out._backward(g)
+        ref._backward(g)
+        assert xt.grad.tobytes() == xr.grad.tobytes()
+
     def test_values_and_grad(self):
         x = Tensor(np.array([[-2.0, 0.0, 3.0]]), requires_grad=True)
         out = T.relu(x)
@@ -167,6 +247,38 @@ class TestMaxpool2d:
         out = T.maxpool2d(xt, size=size)
         out._backward(g)
         assert out.data.dtype == dtype and xt.grad.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_back(g).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_input_bit_identical_to_argmax_reference(self, dtype):
+        # relu leaves no sign bit, so the zero-sign fix-up is skipped
+        rng = np.random.default_rng(11)
+        x = rng.integers(-3, 2, size=(3, 4, 12, 12)).astype(dtype)
+        x[0, 0] = -x[0, 0]
+        relu_out = T.relu(Tensor(x, requires_grad=True))
+        assert (relu_out.data == 0).any() and not np.signbit(relu_out.data).any()
+        g = rng.normal(size=(3, 4, 6, 6)).astype(dtype)
+        ref_out, ref_back = maxpool2d_reference(relu_out.data, 2)
+        out = T.maxpool2d(relu_out, size=2)
+        out._backward(g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert relu_out.grad.tobytes() == ref_back(g).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_ties_still_fixed_up(self, dtype):
+        # the first zero of a window gives the maximum its sign
+        x = np.array([[0.0, -0.0], [-1.0, -2.0],
+                      [-0.0, 0.0], [-3.0, 0.0],
+                      [-1.0, -0.0], [0.0, -0.0],
+                      [-0.0, -0.0], [-0.0, 0.0]], dtype=dtype).reshape(4, 2, 2)
+        x = np.concatenate(list(x), axis=1)[None, None]  # (1, 1, 2, 8)
+        g = np.arange(1, 5, dtype=dtype).reshape(1, 1, 1, 4)
+        ref_out, ref_back = maxpool2d_reference(x, 2)
+        xt = Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, size=2)
+        out._backward(g)
+        assert np.signbit(out.data).ravel().tolist() == [False, True, True, True]
         assert out.data.tobytes() == ref_out.tobytes()
         assert xt.grad.tobytes() == ref_back(g).tobytes()
 
@@ -348,6 +460,18 @@ class TestBackward:
         assert out._backward is None and out._parents == ()
 
 
+def sgd_step_reference(params, state, cfg):
+    """sgd_step as the out-of-place formula, with full-size temporaries."""
+    for name, p in params.items():
+        if not p.requires_grad or p.grad is None:
+            continue
+        f = p.dtype.type
+        g = p.grad + f(cfg.weight_decay) * p.data if cfg.weight_decay else p.grad
+        v = state.get(name, np.zeros_like(p.data))
+        state[name] = f(cfg.momentum) * v - f(cfg.learning_rate) * g
+        p.data = p.data + state[name]
+
+
 class TestSgd:
     def test_momentum_recurrence(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -403,6 +527,36 @@ class TestSgd:
             assert state["w"].tobytes() == ref_v.tobytes()
         assert p.data is alias  # updated in place, not replaced
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_blocks_match_out_of_place_and_leave_grad_unread(self, weight_decay):
+        # 150,000 elements: two full blocks and a ragged tail
+        rng = np.random.default_rng(4)
+        w0 = rng.normal(size=(3, 50_000)).astype(np.float32)
+        p, ref = Tensor(w0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        state, ref_state = {}, {}
+        cfg = OptimizerConfig(learning_rate=0.01, momentum=0.9, weight_decay=weight_decay)
+        for _ in range(3):
+            g = rng.normal(size=w0.shape).astype(np.float32)
+            p.grad, ref.grad = g, g.copy()
+            sgd_step({"w": p}, state, cfg)
+            sgd_step_reference({"w": ref}, ref_state, cfg)
+            assert g.tobytes() == ref.grad.tobytes()
+            assert p.data.tobytes() == ref.data.tobytes()
+            assert state["w"].tobytes() == ref_state["w"].tobytes()
+
+    @pytest.mark.parametrize("where", ["param", "grad"])
+    def test_non_c_contiguous_arrays_rejected(self, where):
+        data, grad = np.ones((4, 6)), np.ones((4, 6))
+        if where == "param":
+            data = np.asfortranarray(data)
+        else:
+            grad = np.ones((6, 4)).T
+        p = Tensor(data, requires_grad=True)
+        p.grad = grad
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sgd_step({"w": p}, {}, OptimizerConfig(learning_rate=0.1))
+        assert (p.data == 1).all()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.0)
@@ -410,6 +564,77 @@ class TestSgd:
             OptimizerConfig(learning_rate=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.1, weight_decay=-1.0)
+
+
+def conv2d_op_reference(x, w, b, stride=1, padding=0):
+    """conv2d with an out-of-place bias add and the NCHW col2im backward."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    ho, wo = T._conv_geometry(h, wd, k, stride, padding)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.stack([xp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride]
+                     for ki in range(k) for kj in range(k)], axis=2)
+    patches = cols.transpose(0, 3, 4, 1, 2).reshape(n * ho * wo, c * k * k)
+    out = T._matmul(patches, w.data.reshape(f, -1).T) + b.data
+
+    def back(g):
+        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+        T._accumulate(w, T._matmul(gmat.T, patches).reshape(w.shape))
+        T._accumulate(b, gmat.sum(axis=0))
+        if x.requires_grad or x._parents:
+            T._accumulate(x, conv2d_backward_reference(g, w.data, x.shape, stride, padding))
+
+    return T._node(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2), (x, w, b), back)
+
+
+def maxpool2d_op_reference(x, size=2):
+    """maxpool2d by the argmax formulation, which always settles zero signs."""
+    out, back = maxpool2d_reference(x.data, size)
+    return T._node(out, (x,), lambda g: T._accumulate(x, back(g)))
+
+
+def fully_connected_op_reference(x, w, b):
+    """fully_connected with an out-of-place bias add."""
+    x2 = x.data.reshape(x.shape[0], -1)
+
+    def back(g):
+        T._accumulate(w, T._matmul(g.T, x2))
+        T._accumulate(b, g.sum(axis=0))
+        if x.requires_grad or x._parents:
+            T._accumulate(x, T._matmul(g, w.data).reshape(x.shape))
+
+    return T._node(T._matmul(x2, w.data.T) + b.data, (x, w, b), back)
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("name", ["mvnet", "vcnn1"])
+    def test_three_steps_bit_identical_to_reference_ops(self, name, monkeypatch):
+        spec = BUILDERS[name](4)
+        rng = np.random.default_rng(8)
+        if name == "mvnet":
+            x, to_input = rng.integers(0, 256, (12, 64, 64), np.uint8), views_to_input
+        else:
+            x, to_input = (rng.random((12, 30, 30, 30)) < 0.2).astype(np.uint8), voxels_to_input
+        y = np.arange(12) % 4
+        cfg = training.TrainingConfig(epochs=1, batch_size=4, seed=2, optimizer=OptimizerConfig(
+            learning_rate=0.01, momentum=0.9, weight_decay=0.0005))
+
+        def trained():
+            net = Network.initialize(spec, seed=1)
+            training.train(net, x, y, cfg, to_input, name=name)  # 3 steps
+            return {k: p.data.tobytes() for k, p in net.params.items()}
+
+        shipped = trained()
+        monkeypatch.setattr(T, "conv2d", conv2d_op_reference)
+        monkeypatch.setattr(T, "relu", relu_reference)
+        monkeypatch.setattr(T, "maxpool2d", maxpool2d_op_reference)
+        monkeypatch.setattr(T, "fully_connected", fully_connected_op_reference)
+        monkeypatch.setattr(training, "sgd_step", sgd_step_reference)
+        reference = trained()
+        assert shipped.keys() == reference.keys()
+        assert all(shipped[k] == reference[k] for k in shipped)
+        assert shipped != {k: p.data.tobytes() for k, p in
+                           Network.initialize(spec, seed=1).params.items()}
 
 
 class TestWeightsFormat:

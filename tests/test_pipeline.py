@@ -463,6 +463,18 @@ class TestTraining:
         for k in before:
             assert source[k].tobytes() == before[k].tobytes()
 
+    def test_from_arrays_fortran_input_gets_c_ordered_parameters(self):
+        source = {k: np.asfortranarray(v)
+                  for k, v in Network.initialize(toy_spec(), seed=1).arrays().items()}
+        before = {k: v.copy() for k, v in source.items()}
+        net = Network.from_arrays(toy_spec(), source)
+        assert all(p.data.flags.c_contiguous for p in net.params.values())
+        x, y = toy_data()
+        train(net, x, y, toy_config(epochs=1), np.float32, name="toy")
+        for k in before:
+            assert not np.array_equal(net.params[k].data, before[k])  # updates landed
+            assert source[k].tobytes() == before[k].tobytes()
+
     def test_non_finite_loss_stops_before_update(self):
         net = Network.initialize(toy_spec(), seed=1)
         before = net.arrays()
