@@ -51,7 +51,7 @@ def main() -> int:
         path = os.path.join(out_dir, f"demo_v{k}.pgm")
         with open(path, "wb") as fh:
             fh.write(write_pgm(view))
-        lit = int((view.pixels > 0).sum())
+        lit = int((view > 0).sum())
         print(f"view {k:2d}: forward ({forward[0]:+.2f} {forward[1]:+.2f} "
               f"{forward[2]:+.2f}), {lit:5d} lit pixels -> {path}")
 

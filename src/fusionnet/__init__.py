@@ -20,7 +20,6 @@ from .orientations import (
 from .render import (
     CameraRig,
     PgmError,
-    ViewImage,
     make_camera_rig,
     read_pgm,
     render_view,
@@ -52,7 +51,6 @@ __all__ = [
     "sample_orientations",
     "CameraRig",
     "PgmError",
-    "ViewImage",
     "make_camera_rig",
     "read_pgm",
     "render_view",

@@ -7,10 +7,10 @@ directories not found), 4 failed validation (invariant violations, malformed
 data).
 
 Options can come from a flat ``key = value`` config file via --config; keys
-are the long flag names with underscores (image_size, weight_decay, ...).
-Explicit flags override the file, which overrides built-in defaults. The
-FUSIONNET_CACHE environment variable overrides the default cache directory
-(an explicit --cache still wins).
+are the long flag names with underscores (image_size, weight_decay, ...), and
+any other key is an error. Explicit flags override the file, which overrides
+built-in defaults. The FUSIONNET_CACHE environment variable overrides the
+config file and the default cache directory (an explicit --cache still wins).
 """
 
 from __future__ import annotations
@@ -73,48 +73,40 @@ def _parse_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            out[key] = value
     return out
 
 
-def _opt(args: argparse.Namespace, key: str, cast=str):
-    """Resolve one option: explicit flag > config file > built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    conf = getattr(args, "_config", {})
-    if key in conf:
+def _resolve(args: argparse.Namespace, conf: dict[str, str]) -> None:
+    """Fill every option its flag left unset: config file > built-in default,
+    parsed with the flag's type. The cache directory goes flag >
+    FUSIONNET_CACHE > config file > default."""
+    for key, value in list(vars(args).items()):
+        if value is not None or key not in DEFAULTS or key == "cache":
+            continue
         try:
-            return cast(conf[key]) if cast is not bool else conf[key].lower() in ("1", "true", "yes")
+            setattr(args, key, type(DEFAULTS[key])(conf[key]) if key in conf
+                    else DEFAULTS[key])
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from exc
-    return DEFAULTS[key]
+    if "cache" in vars(args):
+        args.cache = (args.cache or os.environ.get("FUSIONNET_CACHE")
+                      or conf.get("cache", DEFAULTS["cache"]))
 
 
 def _settings(args: argparse.Namespace) -> CacheSettings:
-    return CacheSettings(orientation_count=_opt(args, "orientations", int),
-                         resolution=_opt(args, "resolution", int),
-                         image_size=_opt(args, "image_size", int),
-                         seed=_opt(args, "seed", int),
-                         jitter_sigma=_opt(args, "jitter_sigma", float))
+    return CacheSettings(orientation_count=args.orientations, resolution=args.resolution,
+                         image_size=args.image_size, seed=args.seed,
+                         jitter_sigma=args.jitter_sigma)
 
 
 def _load_manifest(args: argparse.Namespace) -> DatasetManifest:
-    path = _opt(args, "manifest")
-    if not os.path.exists(path):
-        raise MissingInput(f"manifest not found: {path}")
-    return DatasetManifest.read(path)
-
-
-def _cache_dir(args: argparse.Namespace) -> str:
-    if getattr(args, "cache", None):
-        return args.cache
-    env = os.environ.get("FUSIONNET_CACHE")
-    if env:
-        return env
-    conf = getattr(args, "_config", {})
-    return conf.get("cache", DEFAULTS["cache"])
+    if not os.path.exists(args.manifest):
+        raise MissingInput(f"manifest not found: {args.manifest}")
+    return DatasetManifest.read(args.manifest)
 
 
 def _parse_synthetic(value: str) -> tuple[list[str], int]:
@@ -129,19 +121,18 @@ def _parse_synthetic(value: str) -> tuple[list[str], int]:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    classes, per_class = _parse_synthetic(_opt(args, "synthetic"))
-    out = _opt(args, "out")
-    manifest = make_synthetic_dataset(classes, per_class, _opt(args, "seed", int), out)
+    classes, per_class = _parse_synthetic(args.synthetic)
+    manifest = make_synthetic_dataset(classes, per_class, args.seed, args.out)
     n_train = len(manifest.split_entries("train"))
     n_test = len(manifest.split_entries("test"))
     print(f"wrote {len(manifest.entries)} models ({n_train} train / {n_test} test) "
-          f"across {len(manifest.classes)} classes to {out}")
-    print(f"manifest: {os.path.join(out, 'manifest.jsonl')}")
+          f"across {len(manifest.classes)} classes to {args.out}")
+    print(f"manifest: {os.path.join(args.out, 'manifest.jsonl')}")
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    root = _opt(args, "data")
+    root = args.data
     if not os.path.isdir(root):
         raise MissingInput(f"dataset root not found: {root}")
     manifest = ingest_modelnet(root)
@@ -155,14 +146,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_prep(args: argparse.Namespace) -> int:
-    manifest = _load_manifest(args)
-    cache = _cache_dir(args)
-    report = prepare_caches(manifest, cache, _settings(args),
+    report = prepare_caches(_load_manifest(args), args.cache, _settings(args),
                             include_voxels=not args.no_voxels,
                             include_views=not args.no_views,
-                            include_jitter=args.jitter,
-                            jobs=_opt(args, "jobs", int))
-    print(f"cache {cache}: wrote {report.written}, regenerated "
+                            include_jitter=args.jitter, jobs=args.jobs)
+    print(f"cache {args.cache}: wrote {report.written}, regenerated "
           f"{report.regenerated}, skipped {report.skipped} valid files")
     if report.failures:
         for f in report.failures[:20]:
@@ -172,10 +160,10 @@ def _cmd_prep(args: argparse.Namespace) -> int:
 
 
 def _component(args: argparse.Namespace) -> str:
-    component = _opt(args, "component")
-    if component not in COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; choose from {sorted(COMPONENTS)}")
-    return component
+    if args.component not in COMPONENTS:
+        raise ValueError(f"unknown component {args.component!r}; "
+                         f"choose from {sorted(COMPONENTS)}")
+    return args.component
 
 
 def _read_table(path: str) -> ScoreTable:
@@ -192,20 +180,17 @@ def _read_table(path: str) -> ScoreTable:
 def _cmd_train(args: argparse.Namespace) -> int:
     component = _component(args)
     manifest = _load_manifest(args)
-    out = _opt(args, "out")
-    os.makedirs(out, exist_ok=True)
-    seed = _opt(args, "seed", int)
+    os.makedirs(args.out, exist_ok=True)
     tcfg = TrainingConfig(
-        epochs=_opt(args, "epochs", int),
-        optimizer=OptimizerConfig(learning_rate=_opt(args, "lr", float),
-                                  momentum=_opt(args, "momentum", float),
-                                  weight_decay=_opt(args, "weight_decay", float)),
-        batch_size=_opt(args, "batch_size", int),
-        seed=seed,
-        log_path=os.path.join(out, f"{component}.csv"))
-    weights_path = os.path.join(out, f"{component}.fnw1")
-    core, _ = split_fusion_validation(manifest, seed)  # eval --split val scores the rest
-    _, records = train_component(component, manifest, _cache_dir(args), _settings(args),
+        epochs=args.epochs,
+        optimizer=OptimizerConfig(learning_rate=args.lr, momentum=args.momentum,
+                                  weight_decay=args.weight_decay),
+        batch_size=args.batch_size,
+        seed=args.seed,
+        log_path=os.path.join(args.out, f"{component}.csv"))
+    weights_path = os.path.join(args.out, f"{component}.fnw1")
+    core, _ = split_fusion_validation(manifest, args.seed)  # eval --split val scores the rest
+    _, records = train_component(component, manifest, args.cache, _settings(args),
                                  core, tcfg, weights_path)
     last = records[-1]
     print(f"{component}: {len(records)} epochs, final loss {last.loss:.4f}, "
@@ -223,15 +208,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = component_spec(component, len(manifest.classes), settings.image_size)
     with open(args.weights, "rb") as fh:
         network = Network.from_arrays(spec, read_weights(fh.read()))
-    split = _opt(args, "split")
-    if split == "val":  # the training models that train holds out, as in run_pipeline
-        entries = split_fusion_validation(manifest, _opt(args, "seed", int))[1]
+    if args.split == "val":  # the training models that train holds out, as in run_pipeline
+        entries = split_fusion_validation(manifest, args.seed)[1]
     else:
-        entries = manifest.split_entries(split)
+        entries = manifest.split_entries(args.split)
     if not entries:
-        raise ValueError(f"no {split!r} entries in manifest")
-    table = score_component(component, network, manifest, _cache_dir(args),
-                            settings, entries)
+        raise ValueError(f"no {args.split!r} entries in manifest")
+    table = score_component(component, network, manifest, args.cache, settings, entries)
     for cls, metric in table.per_class(manifest.classes).items():
         print(f"{cls:>12s}  {metric:.4f}")
     print(f"{'average':>12s}  {table.metric:.4f}")
@@ -250,7 +233,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     names = [t.network for t in val_sets]
     if len(set(names)) != len(names):
         names = [f"{n}#{i}" for i, n in enumerate(names)]
-    fw, val_metric = fit_fusion_weights(val_sets, names, step=_opt(args, "step", float),
+    fw, val_metric = fit_fusion_weights(val_sets, names, step=args.step,
                                         normalize=args.softmax)
     fused = fuse_scores(test_sets, fw, normalize=args.softmax)
     print("fusion weights: " + " ".join(f"{c}={w:.2f}" for c, w in fw.as_dict().items()))
@@ -264,8 +247,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    base = _opt(args, "seed", int)
-    seeds = range(base, base + args.seeds)
+    seeds = range(args.seed, args.seed + args.seeds)
     results = run_suite(seeds=seeds, step=args.step)
     by_case: dict[str, list] = {}
     for r in results:
@@ -297,26 +279,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add(p: argparse.ArgumentParser, *names, key=None, cast=None, **kw):
-    """Flag with config-file fallback: default None, documented built-in."""
-    key = key or names[0].lstrip("-").replace("-", "_")
-    if key in DEFAULTS and "help" in kw:
-        kw["help"] = f"{kw['help']} (default: {DEFAULTS[key]})"
-    p.add_argument(*names, dest=key, type=cast, default=None, **kw)
+def _add(p: argparse.ArgumentParser, flag: str, help: str) -> None:
+    """Flag with config-file fallback, typed like its built-in default; it
+    stays None until main resolves it."""
+    key = flag.lstrip("-").replace("-", "_")
+    p.add_argument(flag, type=type(DEFAULTS[key]), default=None,
+                   help=f"{help} (default: {DEFAULTS[key]})")
 
 
 def _common(p: argparse.ArgumentParser, *keys):
     if "manifest" in keys:
-        _add(p, "--manifest", cast=str, help="dataset manifest path")
+        _add(p, "--manifest", help="dataset manifest path")
     if "cache" in keys:
         p.add_argument("--cache", default=None,
                        help="cache directory (default: FUSIONNET_CACHE or ./cache)")
-        _add(p, "--orientations", cast=int, help="voxel orientations per model")
-        _add(p, "--resolution", cast=int, help="voxel grid resolution")
-        _add(p, "--image-size", cast=int, help="rendered view size in pixels")
-        _add(p, "--jitter-sigma", cast=float, help="vertex jitter sigma, raw units")
+        _add(p, "--orientations", help="voxel orientations per model")
+        _add(p, "--resolution", help="voxel grid resolution")
+        _add(p, "--image-size", help="rendered view size in pixels")
+        _add(p, "--jitter-sigma", help="vertex jitter sigma, raw units")
     if "seed" in keys:
-        _add(p, "--seed", cast=int, help="global random seed")
+        _add(p, "--seed", help="global random seed")
     p.add_argument("--config", default=None,
                    help="flat key = value options file (flags override it)")
 
@@ -328,21 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
-    _add(p, "--synthetic", cast=str, required=True, metavar="CLASSESxN",
-         help=f"classes and count per class, e.g. box,sphere,pyramid,cylinderx50; kinds: {','.join(SHAPE_KINDS)}")
-    _add(p, "--out", cast=str, required=True, help="output dataset directory")
+    p.add_argument("--synthetic", required=True, metavar="CLASSESxN",
+                   help=f"classes and count per class, e.g. box,sphere,pyramid,cylinderx50; kinds: {','.join(SHAPE_KINDS)}")
+    p.add_argument("--out", required=True, help="output dataset directory")
     _common(p, "seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="build a manifest from a ModelNet layout tree")
-    _add(p, "--data", cast=str, required=True, help="dataset root (class/{train,test}/*.off)")
+    p.add_argument("--data", required=True, help="dataset root (class/{train,test}/*.off)")
     p.add_argument("--out", default=None, help="manifest path (default: <data>/manifest.jsonl)")
     _common(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("prep", help="build voxel/view caches for a manifest")
     _common(p, "manifest", "cache", "seed")
-    _add(p, "--jobs", cast=int, help="worker processes")
+    _add(p, "--jobs", help="worker processes")
     p.add_argument("--jitter", action="store_true", help="also cache jittered voxels")
     p.add_argument("--no-voxels", action="store_true", help="skip voxel caches")
     p.add_argument("--no-views", action="store_true", help="skip view renders")
@@ -350,21 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one component network")
     _common(p, "manifest", "cache", "seed")
-    _add(p, "--component", cast=str,
+    _add(p, "--component",
          help=f"one of {','.join(sorted(COMPONENTS))}")
-    _add(p, "--epochs", cast=int, help="training epochs")
-    _add(p, "--batch-size", cast=int, help="minibatch size")
-    _add(p, "--lr", cast=float, help="learning rate")
-    _add(p, "--momentum", cast=float, help="SGD momentum")
-    _add(p, "--weight-decay", cast=float, help="L2 weight decay")
-    _add(p, "--out", cast=str, required=True, help="output directory for weights/logs")
+    _add(p, "--epochs", help="training epochs")
+    _add(p, "--batch-size", help="minibatch size")
+    _add(p, "--lr", help="learning rate")
+    _add(p, "--momentum", help="SGD momentum")
+    _add(p, "--weight-decay", help="L2 weight decay")
+    p.add_argument("--out", required=True, help="output directory for weights/logs")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate trained weights on a split")
     _common(p, "manifest", "cache", "seed")
-    _add(p, "--component", cast=str, help=f"one of {','.join(sorted(COMPONENTS))}")
+    _add(p, "--component", help=f"one of {','.join(sorted(COMPONENTS))}")
     p.add_argument("--weights", required=True, help="trained weights file")
-    _add(p, "--split", cast=str,
+    _add(p, "--split",
          help="train, test, or val (the training models that train holds out)")
     p.add_argument("--out", default=None, help="write per-model class scores (JSON lines)")
     p.set_defaults(func=_cmd_eval)
@@ -372,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fit fusion weights on validation scores, apply to test")
     p.add_argument("--val", nargs="+", required=True, help="validation score files, one per component")
     p.add_argument("--test", nargs="+", required=True, help="test score files, same order")
-    _add(p, "--step", cast=float, help="simplex grid step")
+    _add(p, "--step", help="simplex grid step")
     p.add_argument("--softmax", action="store_true", help="fuse softmax-normalized scores")
     p.add_argument("--out", default=None, help="write fused test scores")
     _common(p)
@@ -397,7 +379,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _parse_config(args.config) if args.config else {}
+        _resolve(args, _parse_config(args.config) if args.config else {})
         return args.func(args)
     except MissingInput as exc:
         print(f"error: {exc}", file=sys.stderr)

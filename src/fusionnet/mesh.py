@@ -22,8 +22,6 @@ class TriangleMesh:
 
     vertices: np.ndarray
     faces: np.ndarray
-    class_label: str | None = None
-    source_path: str | None = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -68,14 +66,14 @@ def parse_off(data: bytes | str, source_path: str | None = None) -> TriangleMesh
     parse error message.
     """
     try:
-        return _parse_off(data, source_path)
+        return _parse_off(data)
     except OffParseError as err:
         if source_path is not None:
             raise OffParseError(f"{source_path}: {err}") from None
         raise
 
 
-def _parse_off(data: bytes | str, source_path: str | None) -> TriangleMesh:
+def _parse_off(data: bytes | str) -> TriangleMesh:
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
 
@@ -150,7 +148,7 @@ def _parse_off(data: bytes | str, source_path: str | None) -> TriangleMesh:
         for j in range(1, k - 1):
             tris.append((idx[0], idx[j], idx[j + 1]))
 
-    mesh = TriangleMesh(vertices, np.array(tris, dtype=np.int64), source_path=source_path)
+    mesh = TriangleMesh(vertices, np.array(tris, dtype=np.int64))
     try:
         mesh.validate()
     except ValueError as err:

@@ -40,32 +40,26 @@ class NetworkSpec:
             raise ValueError(
                 f"final layer must output {self.class_count} units, got {shapes[-1]}")
 
-    def output_shapes(self) -> list[tuple[int, ...]]:
-        out = []
-        shape: tuple[int, ...] = self.input_shape
-        for spec in self.layers:
-            shape = L.output_shape(spec, shape)
-            out.append(shape)
-        return out
-
-    def param_entries(self) -> list[tuple[str, tuple[int, ...]]]:
-        entries = []
+    def _walk(self):
+        """(path, layer, in_shape, out_shape) of each layer, in order."""
         shape: tuple[int, ...] = self.input_shape
         for i, spec in enumerate(self.layers):
-            entries.extend(L.param_shapes(spec, shape, L.layer_path(i, spec)))
-            shape = L.output_shape(spec, shape)
-        return entries
+            out = L.output_shape(spec, shape)
+            yield L.layer_path(i, spec), spec, shape, out
+            shape = out
+
+    def output_shapes(self) -> list[tuple[int, ...]]:
+        return [out for *_, out in self._walk()]
+
+    def param_entries(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [entry for path, spec, shape, _ in self._walk()
+                for entry in L.param_shapes(spec, shape, path)]
 
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for _, s in self.param_entries())
+        return sum(self.layer_param_counts())
 
     def layer_param_counts(self) -> list[int]:
-        counts = []
-        shape: tuple[int, ...] = self.input_shape
-        for spec in self.layers:
-            counts.append(L.param_count(spec, shape))
-            shape = L.output_shape(spec, shape)
-        return counts
+        return [L.param_count(spec, shape) for _, spec, shape, _ in self._walk()]
 
     def pool_index(self) -> int | None:
         for i, spec in enumerate(self.layers):
@@ -191,21 +185,17 @@ class Network:
             params[name].requires_grad = False
 
     @classmethod
-    def initialize(cls, spec: NetworkSpec, seed: int, dtype=np.float32) -> "Network":
+    def initialize(cls, spec: NetworkSpec, seed: int) -> "Network":
         rng = np.random.default_rng(seed)
-        params = {}
-        for name, shape in spec.param_entries():
-            fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-            params[name] = T.Tensor(L.init_param(shape, fan_in, rng, dtype),
-                                    requires_grad=True)
-        return cls(spec, params)
+        return cls(spec, {name: T.Tensor(L.init_param(shape, rng, np.float32),
+                                         requires_grad=True)
+                          for name, shape in spec.param_entries()})
 
     @classmethod
-    def from_arrays(cls, spec: NetworkSpec, arrays: dict[str, np.ndarray],
-                    dtype=np.float32) -> "Network":
+    def from_arrays(cls, spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> "Network":
         _check_params(spec, arrays)
         # a C-ordered copy: training updates it in place through flat views
-        return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=dtype, order="C"),
+        return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=np.float32, order="C"),
                                          requires_grad=True)
                           for name, _ in spec.param_entries()})
 
@@ -216,14 +206,17 @@ class Network:
         for p in self.params.values():
             p.grad = None
 
+    def _run(self, y: T.Tensor, indices: range, training: bool,
+             rng: np.random.Generator | None) -> T.Tensor:
+        for i in indices:
+            spec = self.spec.layers[i]
+            y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec), training, rng)
+        return y
+
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> T.Tensor:
         """Per-sample scores (N, class_count); view_maxpool is skipped."""
-        y = T.Tensor(x, requires_grad=False)
-        for i, spec in enumerate(self.spec.layers):
-            y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec),
-                              training, rng)
-        return y
+        return self._run(T.Tensor(x), range(len(self.spec.layers)), training, rng)
 
     def forward_views(self, views: np.ndarray) -> np.ndarray:
         """Class scores (class_count,) of one model from a (V, ...) stack of
@@ -234,15 +227,9 @@ class Network:
         pool = self.spec.pool_index()
         if pool is None:
             raise ValueError(f"{self.spec.name} has no view_maxpool layer")
-        y = T.Tensor(np.asarray(views))
-        for i, spec in enumerate(self.spec.layers[:pool]):
-            y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec),
-                              training=False, rng=None)
-        y = T.view_maxpool(y)
-        for j, spec in enumerate(self.spec.layers[pool + 1:]):
-            i = pool + 1 + j
-            y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec),
-                              training=False, rng=None)
+        pooled = T.view_maxpool(self._run(T.Tensor(np.asarray(views)), range(pool),
+                                          False, None))
+        y = self._run(pooled, range(pool + 1, len(self.spec.layers)), False, None)
         return y.data.reshape(-1)
 
 
@@ -255,8 +242,8 @@ def _final_fc_index(spec: NetworkSpec) -> int:
 
 def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
                new_class_count: int, seed: int,
-               freeze_below: int | None = None,
-               dtype=np.float32) -> tuple[NetworkSpec, dict[str, np.ndarray]]:
+               freeze_below: int | None = None
+               ) -> tuple[NetworkSpec, dict[str, np.ndarray]]:
     """Reuse all trained weights below the score layer; reinitialize the
     score layer for a new class count."""
     _check_params(spec, arrays)
@@ -271,7 +258,6 @@ def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
     rng = np.random.default_rng(seed)
     for name, shape in new_spec.param_entries():
         if name.startswith(head_prefix + "."):
-            fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-            out[name] = L.init_param(shape, fan_in, rng, dtype)
+            out[name] = L.init_param(shape, rng, np.float32)
     return new_spec, out
 

@@ -129,12 +129,11 @@ def param_count(spec: LayerSpec, in_shape: tuple[int, ...]) -> int:
     return sum(int(np.prod(shape)) for _, shape in param_shapes(spec, in_shape, "x"))
 
 
-def init_param(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
-               dtype) -> np.ndarray:
-    """He-normal weights, zero biases (1-D shapes are biases)."""
+def init_param(shape: tuple[int, ...], rng: np.random.Generator, dtype) -> np.ndarray:
+    """He-normal weights over the fan-in shape[1:], zero biases (1-D shapes)."""
     if len(shape) == 1:
         return np.zeros(shape, dtype=dtype)
-    std = np.sqrt(2.0 / fan_in)
+    std = np.sqrt(2.0 / int(np.prod(shape[1:])))
     return (rng.normal(0.0, std, size=shape)).astype(dtype)
 
 

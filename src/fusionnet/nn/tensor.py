@@ -21,13 +21,12 @@ import numpy as np
 class Tensor:
     """A numpy array plus an optional gradient and a tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -40,8 +39,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -31,12 +31,6 @@ class Orientation:
 @dataclass(frozen=True)
 class OrientationSet:
     orientations: tuple[Orientation, ...]
-    seed: int
-    count: int
-
-    def __post_init__(self):
-        if len(self.orientations) != self.count:
-            raise ValueError("orientation count mismatch")
 
 
 def sample_orientations(count: int, seed: int) -> OrientationSet:
@@ -46,7 +40,7 @@ def sample_orientations(count: int, seed: int) -> OrientationSet:
     rng = np.random.default_rng(seed)
     u = rng.random((count, 2))
     pairs = tuple(Orientation(float(t) * math.pi, float(p) * 2.0 * math.pi) for t, p in u)
-    return OrientationSet(pairs, seed=seed, count=count)
+    return OrientationSet(pairs)
 
 
 def derive_seed(global_seed: int, *labels: str) -> int:
@@ -73,6 +67,5 @@ def rotation_matrix(o: Orientation) -> np.ndarray:
 def apply_rotation(mesh: TriangleMesh, o: Orientation) -> TriangleMesh:
     """Rotate every vertex by rotation_matrix(o); faces are untouched."""
     r = rotation_matrix(o)
-    return TriangleMesh(mesh.vertices @ r.T, mesh.faces,
-                        class_label=mesh.class_label, source_path=mesh.source_path)
+    return TriangleMesh(mesh.vertices @ r.T, mesh.faces)
 

@@ -4,18 +4,19 @@ Layout under the cache directory:
     voxels/<id>_o<k>.voxb        occupancy per orientation k
     voxels_jit/<id>_o<k>.voxb    same, from the jittered mesh copy
     views/<id>_v<k>.pgm          rendered grayscale view k
-    stamps/<id>.json             one line: the settings and the mesh sha256
-                                 this model's files were made under
+    stamps/<id>.json             one line: the cache format, the settings and
+                                 the mesh sha256 this model's files were made under
 
 Preparation is idempotent, and each model's stamp is its cache key. When the
-stamp matches the current settings and mesh bytes, a file is kept if its
-bytes decode to what those settings expect (voxel resolution, image size);
-a missing or corrupt file is regenerated in place. When the stamp is missing
-or differs, the model is stale: its stamp is removed first, every requested
-file is rebuilt, the files this pass does not rebuild (orientations past the
-count, flavors not asked for) are removed, and the stamp is written last,
-only if nothing failed. An interrupted pass therefore never leaves a stamp
-over files of other settings. All writes go through a temp file + rename.
+stamp matches the cache format, the current settings and the mesh bytes, a
+file is kept if its bytes decode to what those settings expect (voxel
+resolution, image size); a missing or corrupt file is regenerated in place.
+When the stamp is missing or differs, the model is stale: its stamp is
+removed first, every requested file is rebuilt, the files this pass does not
+rebuild (orientations past the count, flavors not asked for) are removed,
+and the stamp is written last, only if nothing failed. An interrupted pass
+therefore never leaves a stamp over files of other settings. All writes go
+through a temp file + rename.
 Model ids may contain '/' (ModelNet); path separators are flattened to '__'
 in file names.
 """
@@ -37,6 +38,10 @@ from ..orientations import OrientationSet, apply_rotation, derive_seed, sample_o
 from ..render import VIEW_COUNT, make_camera_rig, read_pgm, render_view, write_pgm
 from ..voxel import read_voxel_cache, voxelize_surface, write_voxel_cache
 from .data import DatasetManifest, ManifestEntry
+
+# bump when the VOXB or PGM bytes, or the voxelizer's or renderer's output,
+# change: every stamp of another format is stale
+CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def _prepare_model(mesh_path: str, model_id: str, cache_dir: str,
         oset = model_orientations(model_id, settings)
 
         spath = os.path.join(cache_dir, stamp_rel(model_id))
-        stamp = (json.dumps({**asdict(settings),
+        stamp = (json.dumps({**asdict(settings), "format": CACHE_FORMAT,
                              "mesh_sha256": hashlib.sha256(data).hexdigest()},
                             sort_keys=True) + "\n").encode("ascii")
         stale = not _kept(spath, False, bytes, stamp, report)
@@ -203,43 +208,40 @@ def prepare_caches(manifest: DatasetManifest, cache_dir: str,
     return report
 
 
+def _stack(manifest: DatasetManifest, cache_dir: str, entries: list[ManifestEntry],
+           per_model: int, rel: Callable[[str, int], str],
+           decode: Callable[[bytes], np.ndarray], shape: tuple[int, ...]
+           ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Decode file rel(id, k) of each model into row m*per_model + k of a uint8
+    stack, next to the model's integer label."""
+    x = np.empty((len(entries) * per_model, *shape), dtype=np.uint8)
+    y = np.empty(len(entries) * per_model, dtype=np.int64)
+    for mi, e in enumerate(entries):
+        y[mi * per_model:(mi + 1) * per_model] = manifest.label_index(e.class_label)
+        for k in range(per_model):
+            with open(os.path.join(cache_dir, rel(e.model_id, k)), "rb") as fh:
+                x[mi * per_model + k] = decode(fh.read())
+    return x, y, [e.model_id for e in entries]
+
+
 def load_voxel_dataset(manifest: DatasetManifest, cache_dir: str,
                        settings: CacheSettings, entries: list[ManifestEntry],
                        jit: bool = False) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Stack (samples, res, res, res) uint8 occupancy with integer labels.
     Samples are grouped per model in ``entries`` order, orientation-major, so
     rows [m*N, (m+1)*N) are the N views of model m."""
-    res = settings.resolution
-    n = settings.orientation_count
-    x = np.empty((len(entries) * n, res, res, res), dtype=np.uint8)
-    y = np.empty(len(entries) * n, dtype=np.int64)
-    ids = [e.model_id for e in entries]
-    for mi, e in enumerate(entries):
-        label = manifest.label_index(e.class_label)
-        for k in range(n):
-            with open(os.path.join(cache_dir, voxel_rel(e.model_id, k, jit)), "rb") as fh:
-                grid = read_voxel_cache(fh.read())
-            x[mi * n + k] = grid.occupancy
-            y[mi * n + k] = label
-    return x, y, ids
+    return _stack(manifest, cache_dir, entries, settings.orientation_count,
+                  lambda model_id, k: voxel_rel(model_id, k, jit),
+                  lambda b: read_voxel_cache(b).occupancy, (settings.resolution,) * 3)
 
 
 def load_view_dataset(manifest: DatasetManifest, cache_dir: str,
                       settings: CacheSettings, entries: list[ManifestEntry]
                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Stack (samples, size, size) uint8 grayscale with integer labels,
-    grouped per model, view-major (20 views per model)."""
-    s = settings.image_size
-    x = np.empty((len(entries) * 20, s, s), dtype=np.uint8)
-    y = np.empty(len(entries) * 20, dtype=np.int64)
-    ids = [e.model_id for e in entries]
-    for mi, e in enumerate(entries):
-        label = manifest.label_index(e.class_label)
-        for v in range(20):
-            with open(os.path.join(cache_dir, view_rel(e.model_id, v)), "rb") as fh:
-                x[mi * 20 + v] = read_pgm(fh.read())
-            y[mi * 20 + v] = label
-    return x, y, ids
+    grouped per model, view-major (VIEW_COUNT views per model)."""
+    return _stack(manifest, cache_dir, entries, VIEW_COUNT, view_rel, read_pgm,
+                  (settings.image_size,) * 2)
 
 
 def voxels_to_input(batch: np.ndarray) -> np.ndarray:

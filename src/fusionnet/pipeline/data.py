@@ -207,7 +207,7 @@ def make_synthetic_dataset(classes: list[str], per_class: int, seed: int,
             mesh = _GENERATORS[cls](rng)
             spun = _spin_z(mesh.vertices, float(rng.uniform(0.0, 2.0 * math.pi)))
             scale = float(rng.uniform(40.0, 120.0))
-            mesh = TriangleMesh(spun * scale, mesh.faces, class_label=cls)
+            mesh = TriangleMesh(spun * scale, mesh.faces)
             rel = os.path.join("meshes", f"{model_id}.off")
             with open(os.path.join(out_dir, rel), "wb") as fh:
                 fh.write(write_off(mesh))

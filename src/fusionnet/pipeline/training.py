@@ -20,9 +20,11 @@ import numpy as np
 from ..models import Network
 from ..nn import tensor as T
 from ..nn.optim import OptimizerConfig, sgd_step
-# unused here; perfbench/tracer.py patches this name until ROADMAP item 5 lands
+# unused here; perfbench/tracer.py patches this name until it reads the
+# program's own run trace (ROADMAP item 1)
 from ..nn.weights import write_weights  # noqa: F401
 from ..orientations import derive_seed
+from .evaluation import average_per_class_accuracy, confusion_matrix
 
 
 @dataclass
@@ -46,11 +48,6 @@ class EpochRecord:
     loss: float
     train_metric: float
     wall_seconds: float
-
-
-def _per_class_metric(correct: np.ndarray, total: np.ndarray) -> float:
-    present = total > 0
-    return float((correct[present] / total[present]).mean()) if present.any() else 0.0
 
 
 def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
@@ -79,8 +76,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
             t0 = time.monotonic()
             perm = order_rng.permutation(len(x))
             loss_sum = 0.0
-            correct = np.zeros(k)
-            total = np.zeros(k)
+            confusion = np.zeros((k, k), dtype=np.int64)
             for batch, start in enumerate(range(0, len(perm), cfg.batch_size)):
                 idx = perm[start:start + cfg.batch_size]
                 xb = to_input(x[idx])
@@ -95,12 +91,10 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
                 T.backward(loss)
                 sgd_step(network.params, state, cfg.optimizer)
                 loss_sum += batch_loss * len(idx)
-                preds = np.argmax(scores.data, axis=1)
-                np.add.at(correct, yb, preds == yb)
-                np.add.at(total, yb, 1)
+                confusion += confusion_matrix(yb, np.argmax(scores.data, axis=1), k)
             rec = EpochRecord(epoch=epoch,
                               loss=loss_sum / len(perm),
-                              train_metric=_per_class_metric(correct, total),
+                              train_metric=average_per_class_accuracy(confusion),
                               wall_seconds=time.monotonic() - t0)
             records.append(rec)
             if log:

@@ -46,12 +46,6 @@ class CameraRig:
     ortho_half_extent: float = ORTHO_HALF_EXTENT
 
 
-@dataclass
-class ViewImage:
-    pixels: np.ndarray  # (size, size) float64 intensities in [0, 1], row 0 at top
-    view_index: int
-
-
 def make_camera_rig(image_size: int) -> CameraRig:
     """The 20 dodecahedron vertices in a fixed, gravity-consistent order."""
     if image_size < 16:
@@ -88,8 +82,9 @@ def _phong_face_shades(normals: np.ndarray, to_camera: np.ndarray) -> np.ndarray
     return np.clip(shade, 0.0, 1.0)
 
 
-def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> ViewImage:
-    """Rasterize one orthographic view with depth buffering."""
+def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> np.ndarray:
+    """Rasterize one orthographic view with depth buffering: (size, size)
+    float64 intensities in [0, 1], row 0 at the top."""
     if not 0 <= view_index < len(rig.positions):
         raise ValueError(f"view_index {view_index} out of range")
     if len(mesh.faces) == 0:
@@ -143,7 +138,7 @@ def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> ViewImag
     counts = np.where(live, ncols * nrows, 0)
     total = int(counts.sum())
     if total == 0:
-        return ViewImage(fb, view_index)
+        return fb
 
     face_idx = np.repeat(np.arange(len(counts)), counts)
     rank = np.arange(total) - np.repeat(np.concatenate([[0], np.cumsum(counts)])[:-1], counts)
@@ -161,7 +156,7 @@ def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> ViewImag
     ar = area[face_idx]
     inside = ((w0 * ar >= 0.0) & (w1 * ar >= 0.0) & (w2 * ar >= 0.0))
     if not inside.any():
-        return ViewImage(fb, view_index)
+        return fb
 
     face_idx = face_idx[inside]
     pix = row[inside] * size + col[inside]
@@ -175,12 +170,12 @@ def render_view(mesh: TriangleMesh, rig: CameraRig, view_index: int) -> ViewImag
     first[1:] = pix_sorted[1:] != pix_sorted[:-1]
     winners = order[first]
     fb.ravel()[pix[winners]] = shades[face_idx[winners]]
-    return ViewImage(fb, view_index)
+    return fb
 
 
-def write_pgm(img: ViewImage) -> bytes:
+def write_pgm(img: np.ndarray) -> bytes:
     """Binary PGM (P5), maxval 255; intensity quantized by round-half-to-even."""
-    gray = np.rint(img.pixels * 255.0).astype(np.uint8)
+    gray = np.rint(img * 255.0).astype(np.uint8)
     h, w = gray.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes()
 

@@ -142,7 +142,7 @@ def test_criterion_05_renderer_analytic_check():
     rot = np.eye(3) + k + k @ k * ((1.0 - cos) / sin ** 2)
     aligned = TriangleMesh(vertices=mesh.vertices @ rot.T, faces=mesh.faces)
 
-    gray = np.rint(render_view(aligned, rig, 0).pixels * 255.0)
+    gray = np.rint(render_view(aligned, rig, 0) * 255.0)
     analytic = round((AMBIENT + DIFFUSE + SPECULAR) * 255)
     row, col = np.unravel_index(int(np.argmax(gray)), gray.shape)
     center = (rig.image_size - 1) / 2.0  # the sphere center projects here

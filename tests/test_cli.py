@@ -1,22 +1,25 @@
 """Command-line interface tests: exit code families, help text, config file
-precedence, and a small train/eval/fuse roundtrip over real caches."""
+precedence, a small train/eval/fuse roundtrip over real caches, and runs of
+the demos."""
 
 import hashlib
 import json
 import os
-import py_compile
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from fusionnet import cli
 from fusionnet.cli import DEFAULTS, main
 from fusionnet.nn.gradcheck import CASES
 from fusionnet.nn.weights import read_weights, write_weights
-from fusionnet.pipeline import RunConfig, ScoreTable, run_pipeline
+from fusionnet.pipeline import CacheReport, EpochRecord, RunConfig, ScoreTable, run_pipeline
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def tree_digest(root):
@@ -178,6 +181,105 @@ class TestConfigPrecedence:
         assert main(["synth", "--synthetic", "boxx2",
                      "--out", str(tmp_path / "a"), "--config", str(conf)]) == 4
         assert "config key seed" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        """A misspelled key is an error that names it and its line, not a
+        run under the built-in default."""
+        conf = tmp_path / "run.conf"
+        conf.write_text("# options\nsed = 3\n")
+        assert main(["synth", "--synthetic", "boxx2",
+                     "--out", str(tmp_path / "a"), "--config", str(conf)]) == 4
+        err = capsys.readouterr().err
+        assert f"{conf}:2: unknown config key 'sed'" in err
+        assert not (tmp_path / "a").exists()
+
+
+# option key -> (config value, flag value) for the keys prep and train read
+# besides the manifest and the cache directory
+OPTION_VALUES = {
+    "orientations": ("7", "9"), "resolution": ("24", "20"), "image_size": ("48", "40"),
+    "jitter_sigma": ("2.5", "0.5"), "seed": ("5", "6"), "jobs": ("2", "3"),
+    "component": ("mvnet", "vcnn2"), "epochs": ("3", "4"), "batch_size": ("16", "8"),
+    "lr": ("0.01", "0.02"), "momentum": ("0.5", "0.7"), "weight_decay": ("0.001", "0.002"),
+}
+SHARED_KEYS = ["manifest", "cache", "orientations", "resolution", "image_size",
+               "jitter_sigma", "seed"]
+STAGE_KEYS = ([("prep", k) for k in SHARED_KEYS + ["jobs"]]
+              + [("train", k) for k in SHARED_KEYS + ["component", "epochs", "batch_size",
+                                                      "lr", "momentum", "weight_decay"]])
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """The same synthetic manifest in two directories."""
+    root = tmp_path_factory.mktemp("manifests")
+    assert main(["synth", "--synthetic", "box,spherex3", "--out", str(root / "a")]) == 0
+    (root / "b").mkdir()
+    shutil.copy(root / "a" / "manifest.jsonl", root / "b" / "manifest.jsonl")
+    return [str(root / d / "manifest.jsonl") for d in "ab"]
+
+
+def stage_inputs(monkeypatch, argv):
+    """Run prep or train with its stage stubbed out; return the option values
+    the stage was given, keyed like DEFAULTS."""
+    seen = {}
+
+    def of_settings(s):
+        return {"orientations": s.orientation_count, "resolution": s.resolution,
+                "image_size": s.image_size, "seed": s.seed, "jitter_sigma": s.jitter_sigma}
+
+    def prep(manifest, cache, settings, jobs, **_):
+        seen.update(of_settings(settings), manifest=manifest.root, cache=cache, jobs=jobs)
+        return CacheReport()
+
+    def train(component, manifest, cache, settings, entries, tcfg, weights_path):
+        assert tcfg.seed == settings.seed
+        opt = tcfg.optimizer
+        seen.update(of_settings(settings), manifest=manifest.root, cache=cache,
+                    component=component, epochs=tcfg.epochs, batch_size=tcfg.batch_size,
+                    lr=opt.learning_rate, momentum=opt.momentum,
+                    weight_decay=opt.weight_decay)
+        return None, [EpochRecord(0, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(cli, "prepare_caches", prep)
+    monkeypatch.setattr(cli, "train_component", train)
+    assert main(argv) == 0
+    return seen
+
+
+class TestConfigPass:
+    @pytest.mark.parametrize("command,key", STAGE_KEYS)
+    def test_config_value_then_flag(self, command, key, manifests, tmp_path, monkeypatch):
+        """A config value reaches the stage with the flag's type, and an
+        explicit flag still wins over it."""
+        monkeypatch.delenv("FUSIONNET_CACHE", raising=False)
+        if key == "manifest":
+            values = manifests
+            expected = [os.path.dirname(m) for m in manifests]
+        elif key == "cache":
+            values = expected = [str(tmp_path / "conf_cache"), str(tmp_path / "flag_cache")]
+        else:
+            values = OPTION_VALUES[key]
+            expected = [type(DEFAULTS[key])(v) for v in values]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {values[0]}\n")
+        argv = [command, "--config", str(conf)]
+        if key != "manifest":
+            argv += ["--manifest", manifests[0]]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        seen = stage_inputs(monkeypatch, argv)[key]
+        assert seen == expected[0] and type(seen) is type(DEFAULTS[key])
+        flag = "--" + key.replace("_", "-")
+        assert stage_inputs(monkeypatch, argv + [flag, values[1]])[key] == expected[1]
+
+    def test_env_cache_beats_config(self, manifests, tmp_path, monkeypatch):
+        monkeypatch.setenv("FUSIONNET_CACHE", str(tmp_path / "env"))
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"cache = {tmp_path / 'conf'}\n")
+        seen = stage_inputs(monkeypatch, ["prep", "--manifest", manifests[0],
+                                          "--config", str(conf)])
+        assert seen["cache"] == str(tmp_path / "env")
 
 
 class TestGradcheckCommand:
@@ -399,5 +501,11 @@ class TestReportCommand:
 class TestDemos:
     @pytest.mark.parametrize("name", sorted(
         n for n in os.listdir(DEMOS) if n.endswith(".py")))
-    def test_demo_compiles(self, name):
-        py_compile.compile(os.path.join(DEMOS, name), doraise=True)
+    def test_demo_runs(self, name, tmp_path):
+        """Each demo runs to completion from an empty working directory."""
+        path = os.pathsep.join(p for p in (os.path.abspath(SRC),
+                                           os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, os.path.abspath(os.path.join(DEMOS, name))],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr

@@ -745,8 +745,8 @@ class TestGradcheck:
             assert r.max_rel_err < gc.DEFAULT_TOLERANCE
 
     def test_result_threshold(self):
-        assert gc.CheckResult("x", 0, 9.9e-5, 1).passed
-        assert not gc.CheckResult("x", 0, 1.1e-4, 1).passed
+        assert gc.CheckResult("x", 0, 9.9e-5).passed
+        assert not gc.CheckResult("x", 0, 1.1e-4).passed
 
     def test_unknown_case_rejected(self):
         with pytest.raises(KeyError):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fusionnet.orientations import (Orientation, OrientationSet, apply_rotation,
-                                    derive_seed, rotation_matrix, sample_orientations)
+from fusionnet.orientations import (Orientation, apply_rotation, derive_seed,
+                                    rotation_matrix, sample_orientations)
 
 
 class TestRotationMatrix:
@@ -88,7 +88,6 @@ class TestSampleOrientations:
         a = sample_orientations(60, seed=123)
         b = sample_orientations(60, seed=123)
         assert len(a.orientations) == 60
-        assert a.count == 60 and a.seed == 123
         for x, y in zip(a.orientations, b.orientations):
             assert x.theta == y.theta and x.phi == y.phi
 
@@ -118,9 +117,3 @@ class TestOrientation:
             Orientation(9.99, 0.0)
         with pytest.raises(ValueError, match="phi"):
             Orientation(0.0, 2.0 * math.pi)
-
-
-class TestOrientationSet:
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            OrientationSet(orientations=(Orientation(0.0, 0.0),), seed=0, count=2)

@@ -28,12 +28,15 @@ from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
                                 report_text, run_pipeline,
                                 simplex_grid, split_fusion_validation, train,
                                 views_to_input, voxels_to_input)
-from fusionnet.pipeline.caches import safe_id, stamp_rel, voxel_rel
+from fusionnet.pipeline import caches
+from fusionnet.pipeline.caches import safe_id, stamp_rel, view_rel, voxel_rel
 from fusionnet.pipeline.data import SHAPE_KINDS, _GENERATORS
+from fusionnet.render import read_pgm
+from fusionnet.voxel import read_voxel_cache
 
 TINY = CacheSettings(orientation_count=2, resolution=16, image_size=32, seed=0)
 STAMP = {"orientation_count": 2, "resolution": 16, "image_size": 32, "seed": 0,
-         "jitter_sigma": 5.0}
+         "jitter_sigma": 5.0, "format": 1}
 PER_MODEL = 1 + TINY.orientation_count + 20  # stamp, grids, views; no jitter
 
 
@@ -183,8 +186,8 @@ class TestCacheLifecycle:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_stamp_is_the_model_key(self, tiny_dataset, tmp_path):
-        """Each model's stamp is one sorted-key JSON line of the settings and
-        its mesh's sha256, and a warm pass leaves it alone: same bytes, same
+        """Each model's stamp is one sorted-key JSON line of the cache format,
+        the settings and its mesh's sha256, and a warm pass leaves it alone: same bytes, same
         inode. No global manifest or orientation listing is written."""
         cache = str(tmp_path / "cache")
         prepare_caches(tiny_dataset, cache, TINY)
@@ -219,21 +222,38 @@ class TestCacheLifecycle:
             0, files, 0, [])
 
     def test_voxel_loader_grouping(self, tiny_dataset, tiny_cache):
-        x, y, ids = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
+        """Row m*N + k holds grid k of model m, of either flavor."""
         n = TINY.orientation_count
-        assert x.shape == (len(ids) * n, 16, 16, 16) and x.dtype == np.uint8
-        assert ids == [e.model_id for e in tiny_dataset.split_entries("train")]
-        for m, model_id in enumerate(ids):
-            block = y[m * n:(m + 1) * n]
-            assert (block == block[0]).all()
-            label = tiny_dataset.label_index(model_id.rsplit("_", 1)[0])
-            assert block[0] == label
+        for jit in (False, True):
+            x, y, ids = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train",
+                                   jit=jit)
+            assert x.shape == (len(ids) * n, 16, 16, 16) and x.dtype == np.uint8
+            assert y.dtype == np.int64
+            assert ids == [e.model_id for e in tiny_dataset.split_entries("train")]
+            for m, model_id in enumerate(ids):
+                block = y[m * n:(m + 1) * n]
+                assert (block == block[0]).all()
+                label = tiny_dataset.label_index(model_id.rsplit("_", 1)[0])
+                assert block[0] == label
+                for k in range(n):
+                    with open(os.path.join(tiny_cache, voxel_rel(model_id, k, jit)),
+                              "rb") as fh:
+                        grid = read_voxel_cache(fh.read())
+                    assert np.array_equal(x[m * n + k], grid.occupancy)
 
     def test_view_loader_twenty_views(self, tiny_dataset, tiny_cache):
+        """Row m*20 + k holds view k of model m."""
         x, y, ids = split_data(load_view_dataset, tiny_dataset, tiny_cache, "test")
         assert x.shape == (len(ids) * 20, 32, 32) and x.dtype == np.uint8
+        assert y.dtype == np.int64
         assert len(ids) == 2
         assert x.max() > 0  # renders are not blank
+        for m, model_id in enumerate(ids):
+            assert (y[m * 20:(m + 1) * 20] == tiny_dataset.label_index(
+                model_id.rsplit("_", 1)[0])).all()
+            for k in range(20):
+                with open(os.path.join(tiny_cache, view_rel(model_id, k)), "rb") as fh:
+                    assert np.array_equal(x[m * 20 + k], read_pgm(fh.read()))
 
     def test_jitter_flavor_differs(self, tiny_dataset, tiny_cache):
         base, _, _ = split_data(load_voxel_dataset, tiny_dataset, tiny_cache, "train")
@@ -254,15 +274,16 @@ class TestCacheLifecycle:
 
     @pytest.mark.parametrize("change", [{"seed": 1}, {"orientation_count": 3},
                                         {"jitter_sigma": 0.5}, {"resolution": 12},
-                                        {"image_size": 16}, {"mesh": True}],
+                                        {"image_size": 16}, {"mesh": True},
+                                        {"format": 2}],
                              ids=lambda c: next(iter(c)))
-    def test_changed_settings_regenerate(self, tmp_path, change):
-        """Files made under other settings or from other mesh bytes are
-        rebuilt, not kept because their headers parse, whether or not the
-        stamps are on disk; the cache then matches a fresh build byte for
-        byte, and a rerun writes nothing."""
+    def test_changed_settings_regenerate(self, tmp_path, monkeypatch, change):
+        """Files made under other settings, from other mesh bytes or in
+        another cache format are rebuilt, not kept because their headers
+        parse, whether or not the stamps are on disk; the cache then matches
+        a fresh build byte for byte, and a rerun writes nothing."""
         settings = dataclasses.replace(TINY, **{k: v for k, v in change.items()
-                                                if k != "mesh"})
+                                                if k not in ("mesh", "format")})
         for drop_stamps in (False, True):
             root = tmp_path / f"drop_stamps_{drop_stamps}"
             manifest = make_synthetic_dataset(["box"], per_class=2, seed=0,
@@ -278,6 +299,8 @@ class TestCacheLifecycle:
                 meshes = [path.read_bytes() for path in paths]
                 for path, data in zip(paths, reversed(meshes)):
                     path.write_bytes(data)
+            if "format" in change:
+                monkeypatch.setattr(caches, "CACHE_FORMAT", change["format"])
             report = prepare_caches(manifest, cache, settings, include_jitter=True)
             assert report.failures == [] and report.skipped == 0
             assert report.regenerated == before
@@ -285,6 +308,7 @@ class TestCacheLifecycle:
             assert tree_digest(cache) == tree_digest(root / "fresh")
             again = prepare_caches(manifest, cache, settings, include_jitter=True)
             assert (again.written, again.regenerated, again.failures) == (0, 0, [])
+            monkeypatch.undo()
 
     def test_flavor_left_out_of_a_stale_pass(self, tmp_path):
         """A stale pass without jitter removes the jittered grids of the old

@@ -7,7 +7,7 @@ import pytest
 
 from fusionnet.mesh import TriangleMesh, normalize_mesh
 from fusionnet.render import (AMBIENT, DIFFUSE, ORTHO_HALF_EXTENT, SHININESS,
-                              SPECULAR, VIEW_COUNT, CameraRig, PgmError, ViewImage,
+                              SPECULAR, VIEW_COUNT, CameraRig, PgmError,
                               camera_basis, make_camera_rig, read_pgm,
                               render_view, write_pgm)
 
@@ -103,17 +103,17 @@ class TestRenderView:
     def test_background_exactly_zero(self):
         rig = make_camera_rig(64)
         img = render_view(self.facing_triangle(rig, 0, 0.0, span=0.1), rig, 0)
-        assert img.pixels[0, 0] == 0.0
-        covered = img.pixels > 0
+        assert img[0, 0] == 0.0
+        covered = img > 0
         assert 0 < covered.sum() < 64 * 64
-        assert (img.pixels[~covered] == 0.0).all()
+        assert (img[~covered] == 0.0).all()
 
     @pytest.mark.parametrize("tilt", [0.0, math.radians(30), math.radians(60),
                                       math.radians(80)])
     def test_flat_shade_matches_formula(self, tilt):
         rig = make_camera_rig(64)
         img = render_view(self.facing_triangle(rig, 3, tilt), rig, 3)
-        center = img.pixels[32, 32]
+        center = img[32, 32]
         assert center > 0.0
         assert abs(center - phong_shade(math.cos(tilt))) < 1e-9
 
@@ -121,7 +121,7 @@ class TestRenderView:
         # ambient + diffuse + specular = 1.0 at zero incidence
         rig = make_camera_rig(64)
         img = render_view(self.facing_triangle(rig, 0, 0.0), rig, 0)
-        assert abs(img.pixels[32, 32] - 1.0) < 1e-12
+        assert abs(img[32, 32] - 1.0) < 1e-12
 
     def test_double_sided_winding(self):
         rig = make_camera_rig(64)
@@ -129,8 +129,8 @@ class TestRenderView:
         flipped = TriangleMesh(mesh.vertices, mesh.faces[:, ::-1])
         a = render_view(mesh, rig, 0)
         b = render_view(flipped, rig, 0)
-        np.testing.assert_array_equal(a.pixels > 0, b.pixels > 0)
-        np.testing.assert_allclose(a.pixels, b.pixels, atol=1e-12)
+        np.testing.assert_array_equal(a > 0, b > 0)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_depth_buffer_prefers_near(self):
         rig = make_camera_rig(64)
@@ -143,12 +143,12 @@ class TestRenderView:
         both = TriangleMesh(np.vstack([near_v, far_v]),
                             np.array([[0, 1, 2], [3, 4, 5]]))
         img = render_view(both, rig, 0)
-        assert abs(img.pixels[32, 32] - phong_shade(math.cos(math.radians(45)))) < 1e-9
+        assert abs(img[32, 32] - phong_shade(math.cos(math.radians(45)))) < 1e-9
         # swapping the offsets exposes the flat face instead
         both_swapped = TriangleMesh(np.vstack([near_v + 0.6 * f, far_v - 0.6 * f]),
                                     np.array([[0, 1, 2], [3, 4, 5]]))
         img2 = render_view(both_swapped, rig, 0)
-        assert img2.pixels[32, 32] == 1.0
+        assert img2[32, 32] == 1.0
 
     def test_translation_along_view_axis_is_invisible(self):
         """Orthographic projection: sliding the model toward or away from
@@ -160,8 +160,8 @@ class TestRenderView:
         _, _, f = camera_basis(rig, 5)
         moved = TriangleMesh(mesh.vertices - 0.7 * f, mesh.faces)
         again = render_view(moved, rig, 5)
-        np.testing.assert_array_equal(base.pixels > 0, again.pixels > 0)
-        np.testing.assert_allclose(base.pixels, again.pixels, atol=1e-12)
+        np.testing.assert_array_equal(base > 0, again > 0)
+        np.testing.assert_allclose(base, again, atol=1e-12)
 
     def test_half_turn_symmetry_bit_identical(self):
         """The rig maps onto itself under a half turn about the gravity
@@ -177,15 +177,15 @@ class TestRenderView:
             j = int(np.flatnonzero((rig.positions == target).all(axis=1))[0])
             a = render_view(mesh, rig, i)
             b = render_view(mirrored, rig, j)
-            assert np.array_equal(a.pixels, b.pixels), (i, j)
+            assert np.array_equal(a, b), (i, j)
 
     def test_normalized_mesh_stays_inside_frame(self):
         rig = make_camera_rig(64)
         mesh = soup_mesh(3)
         for i in range(VIEW_COUNT):
             img = render_view(mesh, rig, i)
-            border = np.concatenate([img.pixels[0], img.pixels[-1],
-                                     img.pixels[:, 0], img.pixels[:, -1]])
+            border = np.concatenate([img[0], img[-1],
+                                     img[:, 0], img[:, -1]])
             assert (border == 0.0).all()
 
     def test_view_index_out_of_range(self):
@@ -204,21 +204,19 @@ class TestRenderView:
         mesh = soup_mesh(19)
         a = render_view(mesh, rig, 9)
         b = render_view(mesh, rig, 9)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestImageHelpers:
     def test_pgm_roundtrip(self):
         rng = np.random.default_rng(0)
         pixels = rng.random((48, 48))
-        img = ViewImage(pixels, 0)
-        back = read_pgm(write_pgm(img))
+        back = read_pgm(write_pgm(pixels))
         assert back.dtype == np.uint8
         np.testing.assert_array_equal(back, np.rint(pixels * 255.0).astype(np.uint8))
 
     def test_pgm_header(self):
-        img = ViewImage(np.zeros((32, 48)), 0)
-        data = write_pgm(img)
+        data = write_pgm(np.zeros((32, 48)))
         assert data.startswith(b"P5\n48 32\n255\n")
         assert len(data) == len(b"P5\n48 32\n255\n") + 32 * 48
 
@@ -229,8 +227,7 @@ class TestImageHelpers:
             read_pgm(b"P5\n2 2\n65535\n" + bytes(8))
 
     def test_pgm_rejects_truncated_payload(self):
-        img = ViewImage(np.zeros((16, 16)), 0)
-        data = write_pgm(img)
+        data = write_pgm(np.zeros((16, 16)))
         with pytest.raises(ValueError):
             read_pgm(data[:-5])
 
