@@ -3,7 +3,7 @@
 build voxel caches, train the plain volumetric network for a few epochs, and
 evaluate with cross-orientation max pooling.
 
-Runs in about a minute on one CPU core. Every stage is seeded, so the
+Runs in a few seconds on one CPU core. Every stage is seeded, so the
 printed numbers are reproducible.
 
 Usage: python3 voxelize_and_train.py [work_dir]

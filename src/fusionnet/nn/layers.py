@@ -8,7 +8,7 @@ to the same input. Parameter tensors live in a flat dict keyed by layer path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,9 @@ Two references pin the voxelizer. The exhaustive corner-projection oracle
 in sat_oracle.py must agree with it exactly as a set of voxels. The
 bounding-box voxelizer below, which sends every (triangle, voxel) pair of
 the padded box to the exact test, must agree with it bit for bit: the
-column cull and the plane slab may only drop pairs that the exact test
-rejects, so no grid may change.
+row ranges and the plane slab may only drop pairs that the exact test
+rejects, and the two-pass exact test may only skip pairs of voxels already
+set, so no grid may change.
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from fusionnet import voxel
 from fusionnet.mesh import (JitterConfig, TriangleMesh, jitter_mesh, normalize_mesh,
                             parse_off)
-from fusionnet.orientations import apply_rotation, sample_orientations
-from fusionnet.pipeline.data import _GENERATORS
+from fusionnet.orientations import apply_rotation, derive_seed, sample_orientations
+from fusionnet.pipeline.caches import CacheSettings, model_orientations
+from fusionnet.pipeline.data import _GENERATORS, make_synthetic_dataset
 from fusionnet.voxel import (GRID_LO, VoxelCacheError, VoxelGrid, read_voxel_cache,
                              voxelize_surface, write_voxel_cache)
 
@@ -258,6 +260,113 @@ class TestSlabPruningBitIdentical:
         mesh = normalize_mesh(_GENERATORS["torus"](np.random.default_rng(3)))
         monkeypatch.setattr(voxel, "_PAIR_CHUNK", 64)
         assert_same_grid(mesh, 30)
+
+
+class TestRowRangesAndTwoPasses:
+    """The row ranges and the two-pass exact test against the bounding-box
+    reference, bit for bit, on the cases they handle apart."""
+
+    def test_failed_representative_with_another_face_hitting(self, monkeypatch):
+        """Face a's plane crosses voxel (2, 2, 2) of a 4^3 grid without its
+        triangle touching it, and the small face b lies inside that voxel.
+        The voxel's representative pair is one face's, so in one of the two
+        face orders it is a's failing pair and only the second pass sets it."""
+        a = [[0.07, -0.18, 0.15], [-0.27, 0.4, -0.12], [-0.36, 0.12, 0.38]]
+        b = [[0.1, 0.1, 0.1], [0.15, 0.1, 0.12], [0.1, 0.15, 0.14]]
+        calls = []
+
+        def spy(gf, ijk, *args):
+            hits = exact_hits(gf, ijk, *args)
+            calls.append((gf, ijk, hits))
+            return hits
+
+        exact_hits = voxel._exact_hits
+        monkeypatch.setattr(voxel, "_exact_hits", spy)
+        second_pass_sets = []
+        for order in ((a, b), (b, a)):
+            calls.clear()
+            assert_same_grid(soup(order[0] + order[1]), 4)
+            (rep_f, rep_ijk, rep_hits), (f, ijk, hits) = calls
+            face_a = 0 if order[0] is a else 1
+            missed = np.setdiff1d(np.arange(len(rep_f)), rep_hits)
+            a_missed = {tuple(x) for x in rep_ijk[missed[rep_f[missed] == face_a]]}
+            b_hit = {tuple(x) for x in ijk[hits[f[hits] != face_a]]}
+            second_pass_sets.append((2, 2, 2) in a_missed & b_hit)
+        assert any(second_pass_sets)
+
+    def test_later_chunk_meets_voxels_already_set(self, monkeypatch):
+        """A pair cap below one face's box gives each face its own chunk; the
+        same faces twice, and a fan of faces around one point, make later
+        chunks meet voxels that earlier chunks set."""
+        rng = np.random.default_rng(5)
+        tris = rng.uniform(-0.45, 0.45, size=(6, 3, 3))
+        fan = [[[0.0, 0.0, 0.0], list(p), list(q)]
+               for p, q in zip(rng.uniform(-0.4, 0.4, size=(6, 3)),
+                               rng.uniform(-0.4, 0.4, size=(6, 3)))]
+        mesh = soup(np.concatenate([tris, tris, fan]))
+        chunks = []
+
+        def spy(*args):
+            chunks.append(slab_candidates(*args))
+            return chunks[-1]
+
+        slab_candidates = voxel._slab_candidates
+        monkeypatch.setattr(voxel, "_slab_candidates", spy)
+        monkeypatch.setattr(voxel, "_PAIR_CHUNK", 8)
+        want = voxelize_bbox_reference(mesh, 16).occupancy
+        got = voxelize_surface(mesh, 16).occupancy
+        assert np.array_equal(got, want), f"{int((got != want).sum())} voxels differ"
+        assert len(chunks) == len(mesh.faces)
+        seen, met = set(), 0
+        for _, ijk in chunks:
+            here = {tuple(x) for x in ijk if want[x[2], x[1], x[0]]}
+            met += len(here & seen)
+            seen |= here
+        assert met > 0
+
+    @pytest.mark.parametrize("resolution", [3, 8, 13, 30])
+    def test_edge_axes_with_a_zero_u_coefficient(self, resolution):
+        """An edge along u gives its axis cross(e_w, edge) a u coefficient of
+        -0.0 (the edge's v difference is +0.0): that axis keeps rows whole or
+        drops them whole. Faces of every dominant axis w, with
+        edges along +u and -u, tilted and flat, on and off voxel boundaries."""
+        pts = []
+        for w in range(3):
+            u, v = (w + 1) % 3, (w + 2) % 3
+            for lo_u, hi_u, c_v, apex_v, tilt in ((-0.4, 0.3, -0.3, 0.35, 0.0),
+                                                  (0.25, -0.35, 0.1, -0.4, 0.1),
+                                                  (-0.2, 0.4, 0.0, 0.45, -0.2),
+                                                  (0.4, -0.45, 0.25, 0.05, 0.3)):
+                tri = np.zeros((3, 3))
+                tri[0, u], tri[1, u], tri[2, u] = lo_u, hi_u, 0.5 * (lo_u + hi_u)
+                tri[:2, v], tri[2, v] = c_v, apex_v
+                tri[:, w] = 0.05 + tilt * tri[:, v]
+                pts += list(tri)
+        mesh = soup(pts)
+        tables = voxel._face_sat_tables(mesh.vertices[mesh.faces], 0.5 / resolution)
+        w = np.abs(tables[0][:, 0]).argmax(axis=1)
+        edge_u = tables[0][np.arange(len(w)), 1 + w, (w + 1) % 3]  # edge e0's axis
+        assert (edge_u == 0).all()
+        assert_same_grid(mesh, resolution)
+
+
+@pytest.mark.slow
+def test_benchmark_prep_grids_match_bbox_reference(tmp_path):
+    """Every grid of the benchmark's cold prep (the first model of each of the
+    5 synthetic kinds, plain and jittered, at 60 orientations), seed 7."""
+    settings = CacheSettings(seed=7)
+    manifest = make_synthetic_dataset(sorted(_GENERATORS), 2, settings.seed, str(tmp_path))
+    for entry in manifest.entries:
+        if not entry.model_id.endswith("_0000"):
+            continue
+        with open(manifest.mesh_path(entry), "rb") as fh:
+            raw = parse_off(fh.read())
+        jit = JitterConfig(sigma=settings.jitter_sigma,
+                           seed=derive_seed(settings.seed, "jitter", entry.model_id))
+        for mesh in (raw, jitter_mesh(raw, jit)):
+            for pose in model_orientations(entry.model_id, settings).orientations:
+                assert_same_grid(normalize_mesh(apply_rotation(mesh, pose)),
+                                 settings.resolution)
 
 
 class TestCacheFormat:
