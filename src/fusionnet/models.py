@@ -4,8 +4,8 @@ Networks are declarative layer lists (see nn.layers). The volumetric nets
 consume a 30-cell voxel grid as a 30-channel 2D image so the first
 convolution correlates along the full depth axis. The view_maxpool layer is
 a marker: per-sample training treats it as identity, while multi-view
-evaluation splits the layer list there, pools the per-view features neuron
-by neuron, and feeds the pooled vector to the remaining layers.
+evaluation splits the layer list there, pools each model's per-view features
+neuron by neuron, and feeds the pooled rows to the remaining layers.
 """
 
 from __future__ import annotations
@@ -218,19 +218,22 @@ class Network:
         """Per-sample scores (N, class_count); view_maxpool is skipped."""
         return self._run(T.Tensor(x), range(len(self.spec.layers)), training, rng)
 
-    def forward_views(self, views: np.ndarray) -> np.ndarray:
-        """Class scores (class_count,) of one model from a (V, ...) stack of
-        its views: run the shared trunk per view, max-pool features across
-        views, finish with the remaining layers."""
-        if len(views) == 0:
-            raise ValueError("forward_views needs at least one view")
+    def forward_views(self, views: np.ndarray, group: int) -> np.ndarray:
+        """Class scores (models, class_count) from a stack of consecutive
+        groups of ``group`` views, one group per model: run the shared trunk
+        once on the stack, max-pool each group's features across its views,
+        and finish with the remaining layers on the pooled rows."""
+        if group < 1 or len(views) == 0 or len(views) % group:
+            raise ValueError(f"forward_views needs a non-empty stack of whole groups, "
+                             f"got {len(views)} views in groups of {group}")
         pool = self.spec.pool_index()
         if pool is None:
             raise ValueError(f"{self.spec.name} has no view_maxpool layer")
-        pooled = T.view_maxpool(self._run(T.Tensor(np.asarray(views)), range(pool),
-                                          False, None))
-        y = self._run(pooled, range(pool + 1, len(self.spec.layers)), False, None)
-        return y.data.reshape(-1)
+        feats = self._run(T.Tensor(np.asarray(views)), range(pool), False, None).data
+        pooled = np.stack([T.view_maxpool(T.Tensor(feats[i:i + group])).data
+                           for i in range(0, len(feats), group)])
+        return self._run(T.Tensor(pooled), range(pool + 1, len(self.spec.layers)),
+                         False, None).data
 
 
 def _final_fc_index(spec: NetworkSpec) -> int:

@@ -168,9 +168,9 @@ def test_criterion_06_view_pooling_permutation_invariance():
     network = Network.initialize(build_mvnet(10, 64), seed=11)
     rng = np.random.default_rng(6)
     views = rng.random((20, 3, 64, 64)).astype(np.float32)
-    base = network.forward_views(views)
+    base = network.forward_views(views, 20)
     stable = all(
-        np.array_equal(base, network.forward_views(views[rng.permutation(20)]))
+        np.array_equal(base, network.forward_views(views[rng.permutation(20)], 20))
         for _ in range(100))
     elapsed = time.perf_counter() - t0
     ok = stable and elapsed < 30.0

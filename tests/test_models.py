@@ -145,24 +145,32 @@ class TestForwardViews:
     def test_scores_shape_and_identity(self):
         net = self.build_small()
         v = self.views(6)
-        scores = net.forward_views(v)
-        assert scores.shape == (5,)  # the (1, 5) score row, flattened
+        scores = net.forward_views(v, 6)
+        assert scores.shape == (1, 5)  # one model's score row
 
     def test_duplicate_view_is_idempotent(self):
         net = self.build_small()
         v = self.views(1)
-        one = net.forward_views(v)
-        two = net.forward_views(np.concatenate([v, v]))
+        one = net.forward_views(v, 1)
+        two = net.forward_views(np.concatenate([v, v]), 2)
         assert np.array_equal(one, two)
 
     def test_permutation_invariance(self):
         net = self.build_small()
         v = self.views(6)
-        base = net.forward_views(v)
+        base = net.forward_views(v, 6)
         rng = np.random.default_rng(3)
         for _ in range(10):
             perm = rng.permutation(6)
-            assert np.array_equal(net.forward_views(v[perm]), base)
+            assert np.array_equal(net.forward_views(v[perm], 6), base)
+
+    def test_models_in_one_call_score_as_alone(self):
+        net = self.build_small()
+        v = self.views(9)
+        both = net.forward_views(v, 3)
+        assert both.shape == (3, 5)
+        for m in range(3):
+            assert np.array_equal(both[m], net.forward_views(v[3 * m:3 * m + 3], 3)[0])
 
     def test_view_subset_dominance(self):
         """Adding views can only raise each pooled feature, never lower it;
@@ -185,20 +193,25 @@ class TestForwardViews:
 
     def test_empty_views_rejected(self):
         with pytest.raises(ValueError):
-            self.build_small().forward_views(np.zeros((0, 3, 32, 32), dtype=np.float32))
+            self.build_small().forward_views(np.zeros((0, 3, 32, 32), dtype=np.float32), 1)
+
+    @pytest.mark.parametrize("count, group", [(4, 0), (4, -2), (5, 2), (2, 3)])
+    def test_bad_group_rejected(self, count, group):
+        with pytest.raises(ValueError, match="whole groups"):
+            self.build_small().forward_views(self.views(count), group)
 
 
 class TestClassScores:
     def test_flattens_row_vector(self):
-        """One model's class scores come out as a flat (k,) row: with a
-        single view, forward_views equals the (1, k) batch output's row."""
+        """One model's class scores come out as a (1, k) row: with a
+        single view, forward_views equals the (1, k) batch output."""
         net = Network.initialize(build_mvnet(5, image_size=32), seed=0)
         v = np.random.default_rng(1).random((1, 3, 32, 32)).astype(np.float32)
         row = net.forward(v).data
         assert row.shape == (1, 5)
-        scores = net.forward_views(v)
-        assert scores.shape == (5,)
-        assert np.array_equal(scores, row[0])
+        scores = net.forward_views(v, 1)
+        assert scores.shape == (1, 5)
+        assert np.array_equal(scores[0], row[0])
 
 
 class TestAdaptHead:

@@ -377,6 +377,25 @@ class TestFullyConnected:
             T.fully_connected(Tensor(np.zeros((1, 5))), Tensor(np.zeros((2, 4))),
                               Tensor(np.zeros(2)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("net", ["vcnn2", "vcnn1", "mvnet"])
+    def test_weight_major_forward_matches_row_major_bytes(self, net, dtype):
+        """The forward's (W @ x.T).T gives the bytes and the C order of the
+        row-major x @ W.T, for every fc layer of the three nets; one row
+        needs the one-column pad."""
+        rng = np.random.default_rng(12)
+        for name, shape in BUILDERS[net](4).param_entries():
+            if not name.endswith("fully_connected.w"):
+                continue
+            w = rng.standard_normal(shape, dtype=dtype)
+            b = rng.standard_normal(shape[0], dtype=dtype)
+            for rows in (1, 2, 8, 24):
+                x2 = rng.standard_normal((rows, shape[1]), dtype=dtype)
+                out = T.fully_connected(Tensor(x2), Tensor(w), Tensor(b)).data
+                assert out.dtype == dtype and out.shape == (rows, shape[0])
+                assert out.flags.c_contiguous
+                assert out.tobytes() == (T._matmul(x2, w.T) + b).tobytes(), (name, rows)
+
 
 class TestConcat:
     def test_values_and_grad_split(self):
@@ -607,16 +626,21 @@ def fully_connected_op_reference(x, w, b):
 
 
 class TestTrainingStep:
-    @pytest.mark.parametrize("name", ["mvnet", "vcnn1"])
-    def test_three_steps_bit_identical_to_reference_ops(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, batch", [
+        *[pytest.param(name, 4, id=name) for name in ("mvnet", "vcnn1", "vcnn2")],
+        *[pytest.param(name, 8, id=f"{name}-batch8") for name in ("mvnet", "vcnn1", "vcnn2")]])
+    def test_three_steps_bit_identical_to_reference_ops(self, name, batch, monkeypatch):
+        """Batch 8 reaches numpy's pairwise summation (8 or more terms), whose
+        order moves with the memory layout of the array summed."""
         spec = BUILDERS[name](4)
         rng = np.random.default_rng(8)
+        n = 3 * batch
         if name == "mvnet":
-            x, to_input = rng.integers(0, 256, (12, 64, 64), np.uint8), views_to_input
+            x, to_input = rng.integers(0, 256, (n, 64, 64), np.uint8), views_to_input
         else:
-            x, to_input = (rng.random((12, 30, 30, 30)) < 0.2).astype(np.uint8), voxels_to_input
-        y = np.arange(12) % 4
-        cfg = training.TrainingConfig(epochs=1, batch_size=4, seed=2, optimizer=OptimizerConfig(
+            x, to_input = (rng.random((n, 30, 30, 30)) < 0.2).astype(np.uint8), voxels_to_input
+        y = np.arange(n) % 4
+        cfg = training.TrainingConfig(epochs=1, batch_size=batch, seed=2, optimizer=OptimizerConfig(
             learning_rate=0.01, momentum=0.9, weight_decay=0.0005))
 
         def trained():

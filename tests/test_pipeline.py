@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fusionnet.models import Network, NetworkSpec
+from fusionnet.models import BUILDERS, Network, NetworkSpec
 from fusionnet.nn import OptimizerConfig
 from fusionnet.nn import layers as L
+from fusionnet.nn import tensor as T
 from fusionnet.nn.weights import write_weights
 from fusionnet.orientations import derive_seed
 from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
@@ -594,6 +595,60 @@ class TestEvaluateNetwork:
         x, y = self.grouped_eval_data()
         with pytest.raises(ValueError):
             evaluate_network(net, x[:-1], y[:-1], ["m0", "m1"], ["a", "b"],
+                             np.float32)
+
+
+def evaluate_per_model_reference(network, x, ids, to_input):
+    """Scores as evaluation made them one model at a time: the trunk on the
+    model's group, view_maxpool, then the head on the one pooled row, with
+    every fc layer as the row-major x @ W.T."""
+    group = len(x) // len(ids)
+    rows = []
+    for m in range(len(ids)):
+        y = T.Tensor(to_input(x[m * group:(m + 1) * group]))
+        for i, spec in enumerate(network.spec.layers):
+            path = L.layer_path(i, spec)
+            if spec.kind == "view_maxpool":
+                y = T.Tensor(T.view_maxpool(y).data[None])
+            elif spec.kind == "fully_connected":
+                w, b = network.params[f"{path}.w"].data, network.params[f"{path}.b"].data
+                y = T.Tensor(T._matmul(y.data.reshape(len(y.data), -1), w.T) + b)
+            else:
+                y = L.apply_layer(spec, y, network.params, path, False, None)
+        rows.append(y.data[0])
+    return np.array(rows, dtype=np.float64)
+
+
+class TestChunkedEvaluation:
+    # (net, group, models): each model count leaves a ragged last chunk where
+    # a chunk holds more than one model; a group of 40 outgrows a chunk
+    CASES = [("vcnn2", 2, 17), ("vcnn1", 1, 35), ("vcnn1", 2, 17), ("vcnn1", 12, 5),
+             ("vcnn1", 40, 2), ("mvnet", 20, 3)]
+
+    @pytest.mark.parametrize("name, group, models", CASES)
+    def test_scores_match_per_model_loop_bytes(self, name, group, models):
+        net = Network.initialize(BUILDERS[name](4), seed=5)
+        rng = np.random.default_rng(group)
+        n = models * group
+        if name == "mvnet":
+            x, to_input = rng.integers(0, 256, (n, 64, 64), np.uint8), views_to_input
+        else:
+            x, to_input = (rng.random((n, 30, 30, 30)) < 0.2).astype(np.uint8), voxels_to_input
+        y = np.repeat(np.arange(models) % 4, group)
+        ids = [f"m{i}" for i in range(models)]
+        table = evaluate_network(net, x, y, ids, ["a", "b", "c", "d"], to_input)
+        assert table.labels.tolist() == (np.arange(models) % 4).tolist()
+        assert table.matrix.tobytes() == evaluate_per_model_reference(
+            net, x, ids, to_input).tobytes()
+
+    def test_mixed_labels_mid_chunk_raise(self):
+        net = Network.initialize(toy_spec(), seed=1)
+        group, models = 3, 7  # one chunk of 7 models
+        x = np.random.default_rng(0).random((models * group, 1, 2, 2))
+        y = np.repeat(np.arange(models) % 2, group)
+        y[3 * group + 1] = 1 - y[3 * group + 1]
+        with pytest.raises(ValueError, match="'m3'"):
+            evaluate_network(net, x, y, [f"m{i}" for i in range(models)], ["a", "b"],
                              np.float32)
 
 
