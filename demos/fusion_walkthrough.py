@@ -38,7 +38,7 @@ def main() -> int:
     print(f"searching {len(grid)} weight vectors on the 2-simplex "
           f"(step 0.05, corners included)")
 
-    fw, val = fit_fusion_weights([a, b], ["even_expert", "odd_expert"])
+    [(fw, val)] = fit_fusion_weights([a, b], ["even_expert", "odd_expert"])
     print(f"best weights: {fw.as_dict()}  validation metric {val:.4f}")
 
     for table in (a, b):

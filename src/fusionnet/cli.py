@@ -233,8 +233,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     names = [t.network for t in val_sets]
     if len(set(names)) != len(names):
         names = [f"{n}#{i}" for i, n in enumerate(names)]
-    fw, val_metric = fit_fusion_weights(val_sets, names, step=args.step,
-                                        normalize=args.softmax)
+    [(fw, val_metric)] = fit_fusion_weights(val_sets, names, step=args.step,
+                                            normalize=args.softmax)
     fused = fuse_scores(test_sets, fw, normalize=args.softmax)
     print("fusion weights: " + " ".join(f"{c}={w:.2f}" for c, w in fw.as_dict().items()))
     print(f"validation metric: {val_metric:.4f}")

@@ -158,13 +158,12 @@ def _frozen_paths(spec: NetworkSpec) -> set[str]:
     return out
 
 
-def _check_params(spec: NetworkSpec, arrays: dict, exact: bool = False) -> None:
+def _check_params(spec: NetworkSpec, arrays: dict) -> None:
     """Raise WeightsError unless ``arrays`` holds each parameter the spec
-    names, with the spec's shape, and with ``exact`` nothing else. A weights
-    file may hold more, such as the velocity records of an older checkpoint."""
+    names, with the spec's shape, and nothing else."""
     expected = dict(spec.param_entries())
     extra = set(arrays) - set(expected)
-    if exact and extra:
+    if extra:
         raise WeightsError(f"layer {min(extra)}: not in the spec")
     for name, shape in expected.items():
         if name not in arrays:
@@ -178,7 +177,7 @@ class Network:
     """A NetworkSpec bound to parameter tensors."""
 
     def __init__(self, spec: NetworkSpec, params: dict[str, T.Tensor]):
-        _check_params(spec, params, exact=True)
+        _check_params(spec, params)
         self.spec = spec
         self.params = params
         for name in _frozen_paths(spec):
@@ -194,7 +193,8 @@ class Network:
     @classmethod
     def from_arrays(cls, spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> "Network":
         _check_params(spec, arrays)
-        # a C-ordered copy: training updates it in place through flat views
+        # the one copy on load, C-ordered: training updates it in place
+        # through flat views, and read_weights returns read-only views
         return cls(spec, {name: T.Tensor(np.array(arrays[name], dtype=np.float32, order="C"),
                                          requires_grad=True)
                           for name, _ in spec.param_entries()})

@@ -9,6 +9,8 @@ A file holds one network's parameters, named as in ``Network.params``.
 Encoding makes one copy of the values: each array's own buffer (converted
 only if it is not already contiguous little-endian float32) goes straight
 into the final join, with no intermediate bytes object per array. Decoding
+makes none: it returns read-only views of the payload, which keep the
+payload alive, so a caller that needs writable arrays copies them. It
 raises WeightsError, and no other error type, on any malformed payload.
 """
 
@@ -40,12 +42,14 @@ def write_weights(arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def read_weights(data: bytes) -> dict[str, np.ndarray]:
+    """The named arrays of a weights file, as read-only views of ``data``."""
     if data[:4] != MAGIC:
         raise WeightsError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+    data = memoryview(data).toreadonly()
     pos = 4
     arrays: dict[str, np.ndarray] = {}
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(data):
             raise WeightsError("truncated weights file")
@@ -56,7 +60,7 @@ def read_weights(data: bytes) -> dict[str, np.ndarray]:
     while pos < len(data):
         (name_len,) = struct.unpack("<I", take(4))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise WeightsError(f"array name is not valid utf-8: {exc}") from None
         (rank,) = struct.unpack("<I", take(4))
@@ -69,6 +73,6 @@ def read_weights(data: bytes) -> dict[str, np.ndarray]:
             raise WeightsError(f"array {name!r}: bad dims {dims}: {exc}") from None
         if name in arrays:
             raise WeightsError(f"duplicate array name {name!r}")
-        arrays[name] = values.copy()
+        arrays[name] = values
     return arrays
 

@@ -70,10 +70,6 @@ class ScoreTable:
         if len(bad):
             raise ValueError(f"non-finite scores for {self.ids[bad[0]]}")
 
-    def take(self, mask: np.ndarray) -> "ScoreTable":
-        return ScoreTable(self.network, [self.ids[i] for i in np.flatnonzero(mask)],
-                          self.labels[mask], self.matrix[mask])
-
     def _confusion(self) -> np.ndarray:
         return confusion_matrix(self.labels, np.argmax(self.matrix, axis=1),
                                 self.matrix.shape[1])

@@ -14,7 +14,8 @@ A run writes everything under one output directory:
 Fusion weights are fit on a stratified 20% carve-out of the training models
 (never test). Robustness across fits is probed by refitting on subsamples of
 that validation split and counting how often the fused test metric beats
-every component.
+every component. The fit and its refits are one call of fit_fusion_weights,
+which scores every subsample from one table of grid predictions.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
     cache_dir: str | None = None
-    fusion_step: float = 0.05
     fusion_seeds: int = 10
-    softmax_fusion: bool = False
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -255,26 +254,18 @@ def run_pipeline(cfg: RunConfig) -> dict:
         del network  # frees its parameters and gradients before the next one trains
 
     names = list(cfg.components)
-    fw, fused_val = fit_fusion_weights(tables["val"], names, step=cfg.fusion_step,
-                                       normalize=cfg.softmax_fusion)
-    fused = fuse_scores(tables["test"], fw, normalize=cfg.softmax_fusion)
+    masks = [_subsample_validation(tables["val"][0].labels,
+                                   derive_seed(cfg.seed, "fusionfit", str(s)))
+             for s in range(cfg.fusion_seeds)]
+    (fw, fused_val), *refits = fit_fusion_weights(tables["val"], names, subsets=masks)
+    fused = fuse_scores(tables["test"], fw)
     with open(os.path.join(cfg.out_dir, "scores", "fusion_test.jsonl"), "w",
               encoding="utf-8") as fh:
         fh.write(fused.to_jsonl())
 
     comp_test = [metrics["components"][n]["test"] for n in names]
-    seed_metrics: list[float] = []
-    wins = 0
-    for s in range(cfg.fusion_seeds):
-        # every table of a split scores the same entries in the same row order
-        keep = _subsample_validation(tables["val"][0].labels,
-                                     derive_seed(cfg.seed, "fusionfit", str(s)))
-        fw_s, _ = fit_fusion_weights([t.take(keep) for t in tables["val"]], names,
-                                     step=cfg.fusion_step,
-                                     normalize=cfg.softmax_fusion)
-        m = fuse_scores(tables["test"], fw_s, normalize=cfg.softmax_fusion).metric
-        seed_metrics.append(m)
-        wins += int(all(m >= c for c in comp_test))
+    seed_metrics = [fuse_scores(tables["test"], fw_s).metric for fw_s, _ in refits]
+    wins = sum(all(m >= c for c in comp_test) for m in seed_metrics)
 
     metrics["fusion"] = {"weights": fw.as_dict(), "val": fused_val,
                          "test": fused.metric, "seed_metrics": seed_metrics,

@@ -420,19 +420,22 @@ class TestTrainEvalFuse:
         assert line.startswith("fusion weights: vcnn1=") and " vcnn1_jit=" in line
         assert "#" not in line
 
-    def test_eval_ignores_appended_velocity_records(self, cli_workspace, tmp_path):
+    def test_eval_rejects_appended_velocity_records(self, cli_workspace, tmp_path,
+                                                    capsys):
         """A weights file in the older checkpoint layout, with optimizer
-        velocity records "<name>.m" appended after the parameters, scores the same."""
+        velocity records "<name>.m" appended after the parameters, is an
+        input error that names the first array the spec does not hold."""
         weights = cli_workspace["run"] / "vcnn1.fnw1"
         arrays = read_weights(weights.read_bytes())
-        arrays.update({f"{name}.m": np.full_like(a, 0.5) for name, a in arrays.items()})
+        extra = {f"{name}.m": np.full_like(a, 0.5) for name, a in arrays.items()}
         old_layout = tmp_path / "vcnn1.ckpt.fnw1"
-        old_layout.write_bytes(write_weights(arrays))
+        old_layout.write_bytes(write_weights({**arrays, **extra}))
         assert old_layout.read_bytes().startswith(weights.read_bytes())
-        plain, legacy = tmp_path / "plain.jsonl", tmp_path / "legacy.jsonl"
-        assert self.eval_split(cli_workspace, "test", plain) == 0
-        assert self.eval_split(cli_workspace, "test", legacy, weights=old_layout) == 0
-        assert legacy.read_bytes() == plain.read_bytes()
+        out = tmp_path / "legacy.jsonl"
+        capsys.readouterr()
+        assert self.eval_split(cli_workspace, "test", out, weights=old_layout) == 4
+        assert f"layer {min(extra)}: not in the spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fuse_label_disagreement(self, tmp_path, capsys):
         """Two score files that label the same model differently are an

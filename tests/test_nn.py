@@ -674,6 +674,14 @@ class TestWeightsFormat:
         for k in arrays:
             assert back[k].dtype == np.float32
             assert np.array_equal(back[k], arrays[k])
+            assert not back[k].flags.writeable  # views of the payload, not copies
+        # a network built from decoded arrays owns writable copies of them
+        spec = BUILDERS["mvnet"](3, 32)
+        arrays = Network.initialize(spec, seed=0).arrays()
+        net = Network.from_arrays(spec, W.read_weights(W.write_weights(arrays)))
+        for name, p in net.params.items():
+            assert p.data.flags.writeable and p.data.flags.c_contiguous
+            assert np.array_equal(p.data, arrays[name])
 
     def test_scalar_promoted_to_one_element_vector(self):
         back = W.read_weights(W.write_weights({"s": np.float32(2.5)}))

@@ -32,6 +32,7 @@ from fusionnet.pipeline import (CacheReport, CacheSettings, DatasetManifest,
 from fusionnet.pipeline import caches
 from fusionnet.pipeline.caches import safe_id, stamp_rel, view_rel, voxel_rel
 from fusionnet.pipeline.data import SHAPE_KINDS, _GENERATORS
+from fusionnet.pipeline.run import _subsample_validation
 from fusionnet.render import read_pgm
 from fusionnet.voxel import read_voxel_cache
 
@@ -670,12 +671,6 @@ class TestScoreTable:
         with pytest.raises(ValueError):
             ScoreTable("n", ["m"], [0], np.zeros(3))
 
-    def test_take_keeps_rows_in_order(self):
-        t = ScoreTable("n", ["a", "b", "c"], [0, 1, 0], np.arange(6.0).reshape(3, 2))
-        sub = t.take(np.array([True, False, True]))
-        assert sub.ids == ["a", "c"] and sub.labels.tolist() == [0, 0]
-        np.testing.assert_array_equal(sub.matrix, [[0.0, 1.0], [4.0, 5.0]])
-
     def test_metric_and_per_class(self):
         t = ScoreTable("n", ["a", "b", "c"], [0, 0, 1],
                        [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -744,6 +739,13 @@ class TestSimplexGrid:
 
     def test_nonnegative(self):
         assert (simplex_grid(3, step=0.25) >= 0).all()
+
+    def test_order(self):
+        """Ties between grid vectors go to the earlier one, so the order is
+        part of the fit's result."""
+        assert simplex_grid(3, step=0.5).tolist() == [
+            [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
 
 
 class TestFusionWeights:
@@ -837,7 +839,7 @@ class TestFitFusionWeights:
 
     def test_mixed_weights_beat_corners(self):
         a, b, labels = self.complementary()
-        fw, metric = fit_fusion_weights([a, b], ["a", "b"])
+        [(fw, metric)] = fit_fusion_weights([a, b], ["a", "b"])
         assert metric == 1.0
         assert 0.0 < fw.weights[0] < 1.0 and 0.0 < fw.weights[1] < 1.0
 
@@ -848,7 +850,7 @@ class TestFitFusionWeights:
         for name in ("a", "b", "c"):
             comps.append(scores_for(
                 {m: rng.normal(size=3) for m in labels}, name, labels))
-        fw, metric = fit_fusion_weights(comps, ["a", "b", "c"])
+        [(fw, metric)] = fit_fusion_weights(comps, ["a", "b", "c"])
 
         def single_metric(component):
             preds = predictions(component)
@@ -861,16 +863,87 @@ class TestFitFusionWeights:
     def test_identical_components_pick_uniform_weights(self):
         a, _, labels = self.complementary()
         twin = ScoreTable("b", a.ids, a.labels, a.matrix.copy())
-        fw, _ = fit_fusion_weights([a, twin], ["a", "b"])
+        [(fw, _)] = fit_fusion_weights([a, twin], ["a", "b"])
         assert fw.weights == (0.5, 0.5)
 
     def test_one_hot_when_single_component_is_best(self):
         labels = {"m0": 0, "m1": 1}
         good = scores_for({"m0": [1.0, 0.0], "m1": [0.0, 1.0]}, "good", labels)
         bad = scores_for({"m0": [0.0, 9.0], "m1": [9.0, 0.0]}, "bad", labels)
-        fw, metric = fit_fusion_weights([good, bad], ["good", "bad"])
+        [(fw, metric)] = fit_fusion_weights([good, bad], ["good", "bad"])
         assert metric == 1.0
         assert fw.weights[0] > 0.9  # anything drowned by 'bad' misclassifies
+
+
+def fit_fusion_weights_reference(tables, components, mask, step=0.05, normalize=False):
+    """One fit the way run_pipeline made each of its refits before the fits
+    shared a prediction table: copies of the subset's rows, a (grid, models,
+    classes) tensordot over the whole grid, and one confusion matrix per
+    grid row."""
+    mat = np.stack([t.matrix[mask] for t in tables])
+    if normalize:
+        mat = T.softmax_probs(mat)
+    labels = tables[0].labels[mask]
+    grid = simplex_grid(len(components), step=step)
+    preds = np.argmax(np.tensordot(grid, mat, axes=(1, 0)), axis=2)
+    best = None
+    for g in range(len(grid)):
+        metric = average_per_class_accuracy(confusion_matrix(labels, preds[g], mat.shape[2]))
+        key = (-metric, float(np.var(grid[g])), g)
+        if best is None or key < best[0]:
+            best = (key, g, metric)
+    _, g, metric = best
+    return FusionWeights(tuple(components), tuple(grid[g])), metric
+
+
+def random_score_tables(components, classes, models, seed, quantize=False):
+    """Tables of random scores for the same models; quantized scores, whole
+    numbers, make many fused scores and grid metrics tie exactly."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, size=models)
+    ids = [f"m{i}" for i in range(models)]
+    tables = []
+    for c in range(components):
+        scores = rng.normal(size=(models, classes)) * 2
+        tables.append(ScoreTable(f"c{c}", ids, labels,
+                                 np.round(scores) if quantize else scores))
+    return tables
+
+
+class TestFitFusionSubsets:
+    """The fit and its refits from one call and one prediction table pick
+    the weights and metric bytes of refitting each subset on its own."""
+
+    def check_against_reference(self, tables, normalize):
+        names = [t.network for t in tables]
+        masks = [_subsample_validation(tables[0].labels, s) for s in range(10)]
+        fits = fit_fusion_weights(tables, names, normalize=normalize, subsets=masks)
+        assert len(fits) == 1 + len(masks)
+        for (fw, metric), mask in zip(fits, [np.ones(len(tables[0].ids), bool), *masks]):
+            want_fw, want_metric = fit_fusion_weights_reference(tables, names, mask,
+                                                                normalize=normalize)
+            assert fw.weights == want_fw.weights
+            assert repr(metric) == repr(want_metric)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("classes", [3, 10, 40])
+    @pytest.mark.parametrize("components", [2, 3, 4])
+    def test_matches_refitting_each_subset(self, components, classes, quantize, normalize):
+        tables = random_score_tables(components, classes, models=4 * classes + 7,
+                                     seed=100 * components + classes, quantize=quantize)
+        self.check_against_reference(tables, normalize)
+
+    @pytest.mark.slow
+    def test_matches_refitting_at_modelnet40_validation_size(self):
+        """1,968 validation models, 40 classes, 4 components: the size at
+        which each refit used to build a 1.1 GB score tensor."""
+        self.check_against_reference(random_score_tables(4, 40, 1968, seed=0), False)
+
+    def test_empty_subset_rejected(self):
+        tables = random_score_tables(2, 3, 6, seed=1)
+        with pytest.raises(ValueError):
+            fit_fusion_weights(tables, ["c0", "c1"], subsets=[np.zeros(6, dtype=bool)])
 
 
 class TestSplitFusionValidation:
