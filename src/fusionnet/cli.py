@@ -381,10 +381,7 @@ def main(argv=None) -> int:
     try:
         _resolve(args, _parse_config(args.config) if args.config else {})
         return args.func(args)
-    except MissingInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_MISSING
-    except FileNotFoundError as exc:
+    except (MissingInput, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_MISSING
     except ValueError as exc:

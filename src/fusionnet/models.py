@@ -10,6 +10,7 @@ neuron by neuron, and feeds the pooled rows to the remaining layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,25 +42,23 @@ class NetworkSpec:
                 f"final layer must output {self.class_count} units, got {shapes[-1]}")
 
     def _walk(self):
-        """(path, layer, in_shape, out_shape) of each layer, in order."""
+        """(layer, out_shape, param entries) of each layer, in order."""
         shape: tuple[int, ...] = self.input_shape
-        for i, spec in enumerate(self.layers):
-            out = L.output_shape(spec, shape)
-            yield L.layer_path(i, spec), spec, shape, out
-            shape = out
+        for i, layer in enumerate(self.layers):
+            shape, entries = L.describe(layer, shape, L.layer_path(i, layer))
+            yield layer, shape, entries
 
     def output_shapes(self) -> list[tuple[int, ...]]:
-        return [out for *_, out in self._walk()]
+        return [out for _, out, _ in self._walk()]
 
     def param_entries(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [entry for path, spec, shape, _ in self._walk()
-                for entry in L.param_shapes(spec, shape, path)]
+        return [entry for *_, entries in self._walk() for entry in entries]
 
     def param_count(self) -> int:
         return sum(self.layer_param_counts())
 
     def layer_param_counts(self) -> list[int]:
-        return [L.param_count(spec, shape) for _, spec, shape, _ in self._walk()]
+        return [sum(math.prod(shape) for _, shape in entries) for *_, entries in self._walk()]
 
     def pool_index(self) -> int | None:
         for i, spec in enumerate(self.layers):
@@ -148,14 +147,9 @@ BUILDERS = {"vcnn1": build_vcnn1, "vcnn2": build_vcnn2, "mvnet": build_mvnet}
 
 
 def _frozen_paths(spec: NetworkSpec) -> set[str]:
-    if spec.freeze_below is None:
-        return set()
-    out = set()
-    for name, _ in spec.param_entries():
-        idx = int(name.split(".", 1)[0][1:])
-        if idx < spec.freeze_below:
-            out.add(name)
-    return out
+    below = spec.freeze_below or 0
+    return {name for i, (*_, entries) in enumerate(spec._walk()) if i < below
+            for name, _ in entries}
 
 
 def _check_params(spec: NetworkSpec, arrays: dict) -> None:
@@ -206,17 +200,18 @@ class Network:
         for p in self.params.values():
             p.grad = None
 
-    def _run(self, y: T.Tensor, indices: range, training: bool,
-             rng: np.random.Generator | None) -> T.Tensor:
+    def _run(self, y: T.Tensor, indices: range, params: dict[str, T.Tensor],
+             training: bool, rng: np.random.Generator | None) -> T.Tensor:
         for i in indices:
             spec = self.spec.layers[i]
-            y = L.apply_layer(spec, y, self.params, L.layer_path(i, spec), training, rng)
+            y = L.apply_layer(spec, y, params, L.layer_path(i, spec), training, rng)
         return y
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> T.Tensor:
         """Per-sample scores (N, class_count); view_maxpool is skipped."""
-        return self._run(T.Tensor(x), range(len(self.spec.layers)), training, rng)
+        return self._run(T.Tensor(x), range(len(self.spec.layers)), self.params,
+                         training, rng)
 
     def forward_views(self, views: np.ndarray, group: int) -> np.ndarray:
         """Class scores (models, class_count) from a stack of consecutive
@@ -229,18 +224,14 @@ class Network:
         pool = self.spec.pool_index()
         if pool is None:
             raise ValueError(f"{self.spec.name} has no view_maxpool layer")
-        feats = self._run(T.Tensor(np.asarray(views)), range(pool), False, None).data
+        # parameters without requires_grad: no op records a backward closure,
+        # so each layer's buffers are freed as soon as the next layer runs
+        params = {name: T.Tensor(p.data) for name, p in self.params.items()}
+        feats = self._run(T.Tensor(np.asarray(views)), range(pool), params, False, None).data
         pooled = np.stack([T.view_maxpool(T.Tensor(feats[i:i + group])).data
                            for i in range(0, len(feats), group)])
-        return self._run(T.Tensor(pooled), range(pool + 1, len(self.spec.layers)),
+        return self._run(T.Tensor(pooled), range(pool + 1, len(self.spec.layers)), params,
                          False, None).data
-
-
-def _final_fc_index(spec: NetworkSpec) -> int:
-    for i in range(len(spec.layers) - 1, -1, -1):
-        if spec.layers[i].kind == "fully_connected":
-            return i
-    raise ValueError(f"{spec.name} has no fully connected layer")
 
 
 def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
@@ -248,19 +239,17 @@ def adapt_head(spec: NetworkSpec, arrays: dict[str, np.ndarray],
                freeze_below: int | None = None
                ) -> tuple[NetworkSpec, dict[str, np.ndarray]]:
     """Reuse all trained weights below the score layer; reinitialize the
-    score layer for a new class count."""
+    score layer (the last layer with parameters) for a new class count."""
     _check_params(spec, arrays)
-    head = _final_fc_index(spec)
+    head = max(i for i, (*_, entries) in enumerate(spec._walk()) if entries)
     new_layers = list(spec.layers)
     new_layers[head] = L.fc(new_class_count)
     new_spec = replace(spec, layers=tuple(new_layers), class_count=new_class_count,
                        freeze_below=freeze_below)
-    head_prefix = L.layer_path(head, spec.layers[head])
+    *_, head_entries = list(new_spec._walk())[head]
     out = {name: np.array(arr, copy=True) for name, arr in arrays.items()
-           if not name.startswith(head_prefix + ".")}
+           if name not in dict(head_entries)}
     rng = np.random.default_rng(seed)
-    for name, shape in new_spec.param_entries():
-        if name.startswith(head_prefix + "."):
-            out[name] = L.init_param(shape, rng, np.float32)
+    for name, shape in head_entries:
+        out[name] = L.init_param(shape, rng, np.float32)
     return new_spec, out
-

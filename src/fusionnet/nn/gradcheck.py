@@ -18,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .layers import (LayerSpec, apply_layer, conv, dropout, fc, inception,
-                     init_param, layer_path, maxpool, output_shape,
-                     param_shapes, relu, view_maxpool)
+from .layers import (LayerSpec, apply_layer, conv, describe, dropout, fc,
+                     inception, init_param, layer_path, maxpool, relu, view_maxpool)
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -143,16 +142,20 @@ def reduced_network_layers() -> list[LayerSpec]:
             maxpool(2), dropout(0.5), fc(5), view_maxpool(), fc(2)]
 
 
+def _init(entries: list[tuple[str, tuple[int, ...]]], rng) -> dict[str, T.Tensor]:
+    """Float64 parameters for ``describe``'s (name, shape) entries, in order."""
+    return {name: T.Tensor(init_param(shape, rng, np.float64), requires_grad=True)
+            for name, shape in entries}
+
+
 def _case_reduced_network(rng):
     layer_list = reduced_network_layers()
-    in_shape = (3, 14, 14)
-    params: dict[str, T.Tensor] = {}
-    shape = in_shape
+    in_shape = shape = (3, 14, 14)
+    entries = []
     for i, spec in enumerate(layer_list):
-        for name, pshape in param_shapes(spec, shape, layer_path(i, spec)):
-            params[name] = T.Tensor(init_param(pshape, rng, np.float64),
-                                    requires_grad=True)
-        shape = output_shape(spec, shape)
+        shape, layer_entries = describe(spec, shape, layer_path(i, spec))
+        entries += layer_entries
+    params = _init(entries, rng)
     x = T.Tensor(rng.normal(size=(1,) + in_shape), requires_grad=True)
     labels = rng.integers(0, 2, size=1)
 
@@ -174,8 +177,7 @@ def _case_inception_block(rng):
         (conv(2, 5, padding=2),),
     )
     in_shape = (3, 6, 6)
-    params = {name: T.Tensor(init_param(pshape, rng, np.float64), requires_grad=True)
-              for name, pshape in param_shapes(block, in_shape, "L00.concat")}
+    params = _init(describe(block, in_shape, "L00.concat")[1], rng)
     x = T.Tensor(rng.normal(size=(2,) + in_shape), requires_grad=True)
     coeffs = rng.normal(size=(2, 6, 6, 6))
 

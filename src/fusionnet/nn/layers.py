@@ -8,6 +8,7 @@ to the same input. Parameter tensors live in a flat dict keyed by layer path
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,62 +72,45 @@ def view_maxpool() -> LayerSpec:
     return LayerSpec("view_maxpool")
 
 
-def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape of one sample after the layer (batch axis excluded)."""
-    if spec.kind == "conv2d":
-        _, h, w = in_shape
-        return (spec.filter_count,
-                *T._conv_geometry(h, w, spec.filter_size, spec.stride, spec.padding))
-    if spec.kind == "maxpool2d":
-        c, h, w = in_shape
-        if h % spec.filter_size or w % spec.filter_size:
-            raise ValueError(f"maxpool2d needs divisible dims, got {in_shape}")
-        return (c, h // spec.filter_size, w // spec.filter_size)
-    if spec.kind == "fully_connected":
-        return (spec.output_units,)
-    if spec.kind == "concat":
-        outs = []
-        for branch in spec.branches:
-            shape = in_shape
-            for sub in branch:
-                shape = output_shape(sub, shape)
-            outs.append(shape)
-        ref = outs[0]
-        if any(o[1:] != ref[1:] for o in outs):
-            raise ValueError(f"concat branches disagree on spatial shape: {outs}")
-        return (sum(o[0] for o in outs),) + ref[1:]
-    return in_shape  # relu, dropout, view_maxpool
-
-
-def param_shapes(spec: LayerSpec, in_shape: tuple[int, ...],
-                 path: str) -> list[tuple[str, tuple[int, ...]]]:
-    """Flat (name, shape) list for the layer's parameters, if any."""
-    if spec.kind == "conv2d":
-        c = in_shape[0]
-        k = spec.filter_size
-        return [(f"{path}.w", (spec.filter_count, c, k, k)),
-                (f"{path}.b", (spec.filter_count,))]
-    if spec.kind == "fully_connected":
-        fan_in = int(np.prod(in_shape))
-        return [(f"{path}.w", (spec.output_units, fan_in)),
-                (f"{path}.b", (spec.output_units,))]
-    if spec.kind == "concat":
-        out = []
-        for bi, branch in enumerate(spec.branches):
-            shape = in_shape
-            for si, sub in enumerate(branch):
-                out.extend(param_shapes(sub, shape, f"{path}.br{bi}.{si}.{sub.kind}"))
-                shape = output_shape(sub, shape)
-        return out
-    return []
-
-
 def layer_path(index: int, spec: LayerSpec) -> str:
     return f"L{index:02d}.{spec.kind}"
 
 
-def param_count(spec: LayerSpec, in_shape: tuple[int, ...]) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_shapes(spec, in_shape, "x"))
+def _branches(spec: LayerSpec, path: str) -> list[list[tuple[str, LayerSpec]]]:
+    """Each branch of a concat layer as its (path, layer) list."""
+    return [[(f"{path}.br{bi}.{si}.{sub.kind}", sub) for si, sub in enumerate(branch)]
+            for bi, branch in enumerate(spec.branches)]
+
+
+def describe(spec: LayerSpec, in_shape: tuple[int, ...], path: str
+             ) -> tuple[tuple[int, ...], list[tuple[str, tuple[int, ...]]]]:
+    """The shape of one sample after the layer (batch axis excluded) and the
+    flat (name, shape) list of the layer's parameters, in file order."""
+    if spec.kind == "conv2d":
+        c, h, w = in_shape
+        n, k = spec.filter_count, spec.filter_size
+        return ((n, *T._conv_geometry(h, w, k, spec.stride, spec.padding)),
+                [(f"{path}.w", (n, c, k, k)), (f"{path}.b", (n,))])
+    if spec.kind == "maxpool2d":
+        c, h, w = in_shape
+        if h % spec.filter_size or w % spec.filter_size:
+            raise ValueError(f"maxpool2d needs divisible dims, got {in_shape}")
+        return (c, h // spec.filter_size, w // spec.filter_size), []
+    if spec.kind == "fully_connected":
+        n = spec.output_units
+        return (n,), [(f"{path}.w", (n, math.prod(in_shape))), (f"{path}.b", (n,))]
+    if spec.kind == "concat":
+        outs, entries = [], []
+        for branch in _branches(spec, path):
+            shape = in_shape
+            for sub_path, sub in branch:
+                shape, sub_entries = describe(sub, shape, sub_path)
+                entries += sub_entries
+            outs.append(shape)
+        if any(o[1:] != outs[0][1:] for o in outs):
+            raise ValueError(f"concat branches disagree on spatial shape: {outs}")
+        return (sum(o[0] for o in outs),) + outs[0][1:], entries
+    return in_shape, []  # relu, dropout, view_maxpool
 
 
 def init_param(shape: tuple[int, ...], rng: np.random.Generator, dtype) -> np.ndarray:
@@ -160,11 +144,10 @@ def apply_layer(spec: LayerSpec, x: T.Tensor, params: dict[str, T.Tensor], path:
         return T.fully_connected(x, params[f"{path}.w"], params[f"{path}.b"])
     if spec.kind == "concat":
         parts = []
-        for bi, branch in enumerate(spec.branches):
+        for branch in _branches(spec, path):
             y = x
-            for si, sub in enumerate(branch):
-                y = apply_layer(sub, y, params, f"{path}.br{bi}.{si}.{sub.kind}",
-                                training, rng)
+            for sub_path, sub in branch:
+                y = apply_layer(sub, y, params, sub_path, training, rng)
             parts.append(y)
         return T.concat(parts, axis=1)
     if spec.kind == "view_maxpool":

@@ -54,7 +54,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
           to_input: Callable[[np.ndarray], np.ndarray], name: str = "net",
           after_epoch: Callable[[Network, int], None] | None = None
           ) -> list[EpochRecord]:
-    """Train in place; returns the per-epoch log."""
+    """Train in place; returns the per-epoch log, with no gradients attached."""
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("training needs matching, non-empty sample and label arrays")
     k = network.spec.class_count
@@ -104,6 +104,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
             if after_epoch is not None:
                 after_epoch(network, epoch)
     finally:
+        network.zero_grads()  # the last step's gradients are as large as the weights
         if log:
             log.close()
     return records

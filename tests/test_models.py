@@ -1,11 +1,14 @@
 """Architecture goldens, network plumbing, and head adaptation tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fusionnet.models import (BUILDERS, Network, adapt_head, build_mvnet,
                               build_vcnn1, build_vcnn2)
-from fusionnet.nn.weights import WeightsError
+from fusionnet.nn import tensor as T
+from fusionnet.nn.weights import WeightsError, write_weights
 
 
 def conv_params(filters, in_channels, size):
@@ -195,6 +198,23 @@ class TestForwardViews:
         with pytest.raises(ValueError):
             self.build_small().forward_views(np.zeros((0, 3, 32, 32), dtype=np.float32), 1)
 
+    @pytest.mark.parametrize("net", ["vcnn1", "vcnn2", "mvnet"])
+    def test_records_no_tape(self, net, monkeypatch):
+        """Evaluation needs no backward pass, so no op output keeps a
+        backward closure (and with it the op's buffers) alive."""
+        outputs = []
+        node = T._node
+
+        def recording(*args):
+            outputs.append(node(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(T, "_node", recording)
+        spec = BUILDERS[net](4)
+        views = np.random.default_rng(0).random((2,) + spec.input_shape, dtype=np.float32)
+        Network.initialize(spec, seed=0).forward_views(views, 2)
+        assert outputs and all(out._backward is None for out in outputs)
+
     @pytest.mark.parametrize("count, group", [(4, 0), (4, -2), (5, 2), (2, 3)])
     def test_bad_group_rejected(self, count, group):
         with pytest.raises(ValueError, match="whole groups"):
@@ -257,3 +277,66 @@ class TestAdaptHead:
         bad["L00.conv2d.w"] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(WeightsError):
             adapt_head(spec, bad, 3, seed=0)
+
+
+def _conv_entries(path, filters, in_channels, size):
+    return [(f"{path}.conv2d.w", (filters, in_channels, size, size)),
+            (f"{path}.conv2d.b", (filters,))]
+
+
+def _fc_entries(path, units, inputs):
+    return [(f"{path}.fully_connected.w", (units, inputs)),
+            (f"{path}.fully_connected.b", (units,))]
+
+
+class TestWalkGoldens:
+    """Parameter names, their order and the init draws are the weights file
+    format: pin them, with the head adaptation, for each net at 4 classes."""
+
+    ENTRIES = {
+        "vcnn1": (_conv_entries("L00", 64, 30, 3) + _conv_entries("L03", 64, 64, 3)
+                  + _conv_entries("L05", 64, 64, 3) + _fc_entries("L08", 2048, 1600)
+                  + _fc_entries("L10", 4, 2048)),
+        "vcnn2": (_conv_entries("L00.concat.br0.0", 20, 30, 1)
+                  + _conv_entries("L00.concat.br1.0", 20, 30, 3)
+                  + _conv_entries("L00.concat.br2.0", 20, 30, 5)
+                  + _conv_entries("L03.concat.br0.0", 30, 60, 1)
+                  + _conv_entries("L03.concat.br1.0", 30, 60, 3)
+                  + _conv_entries("L06", 30, 60, 3) + _fc_entries("L09", 2048, 27000)
+                  + _fc_entries("L11", 4, 2048)),
+        "mvnet": (_conv_entries("L00", 16, 3, 3) + _conv_entries("L03", 32, 16, 3)
+                  + _conv_entries("L06", 64, 32, 3) + _fc_entries("L09", 512, 4096)
+                  + _fc_entries("L11", 4, 512)),
+    }
+    # sha256 of write_weights: Network.initialize(spec, 0), then adapt_head to
+    # 3 classes with seed 1, freezing the layers below the first fc
+    INIT_SHA = {
+        "vcnn1": "ada97e207ad97fd4ca4bfb45474c67e9e4a2ca3221521aa06db063587d2ad23c",
+        "vcnn2": "041e74b6e57cbf8120d4969bdfb071187dba66cfe47cd3656b542e3f50c845ec",
+        "mvnet": "dcc328353b87298fdf3f31b810d8bddefe04509a77b96dfd0d6b416f7d6e950e",
+    }
+    ADAPT_SHA = {
+        "vcnn1": "f451a20b056c7dc90c1622b8fc4f7c68083fac0b142bd9ecff19eb50fcc2cbb2",
+        "vcnn2": "6e5771e5a0e35e4205ebe47624e69d72f3f93ad8865e8793d56a0b7137d59459",
+        "mvnet": "53e9eaf905401da017985367ecd0e1097117804146910b9c9fea40abc276178e",
+    }
+    FREEZE_BELOW = {"vcnn1": 8, "vcnn2": 9, "mvnet": 9}
+
+    @pytest.mark.parametrize("net", ["vcnn1", "vcnn2", "mvnet"])
+    def test_param_entries(self, net):
+        assert BUILDERS[net](4).param_entries() == self.ENTRIES[net]
+
+    @pytest.mark.parametrize("net", ["vcnn1", "vcnn2", "mvnet"])
+    def test_init_and_adapted_head_bytes(self, net):
+        spec = BUILDERS[net](4)
+        arrays = Network.initialize(spec, 0).arrays()
+        assert hashlib.sha256(write_weights(arrays)).hexdigest() == self.INIT_SHA[net]
+        new_spec, adapted = adapt_head(spec, arrays, 3, seed=1,
+                                       freeze_below=self.FREEZE_BELOW[net])
+        del arrays
+        assert hashlib.sha256(write_weights(adapted)).hexdigest() == self.ADAPT_SHA[net]
+        frozen = {name for name, p in Network.from_arrays(new_spec, adapted).params.items()
+                  if not p.requires_grad}
+        # everything in the layers below the first fully connected layer
+        assert frozen == {name for name, _ in self.ENTRIES[net]
+                          if int(name[1:3]) < self.FREEZE_BELOW[net]}

@@ -478,6 +478,12 @@ class TestTraining:
               after_epoch=lambda n, e: seen.append(e))
         assert seen == [0, 1, 2]
 
+    def test_returns_with_no_gradients_attached(self):
+        net = Network.initialize(toy_spec(), seed=1)
+        x, y = toy_data()
+        train(net, x, y, toy_config(epochs=2), np.float32, name="toy")
+        assert all(p.grad is None for p in net.params.values())
+
     def test_from_arrays_network_trains_on_its_own_copy(self):
         source = Network.initialize(toy_spec(), seed=1).arrays()
         before = {k: v.copy() for k, v in source.items()}
