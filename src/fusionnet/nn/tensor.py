@@ -7,11 +7,11 @@ softmax cross-entropy. Ops preserve the input dtype, so the same graph runs
 in float32 for training and float64 for gradient checking. relu emits +0.0
 for every zero, so maxpool2d after a ReLU never needs its zero-sign fix-up.
 
-All matrix products route through _matmul, which pads a single-row left
-operand to two rows and a single-column right operand to two columns. BLAS
-dispatches M = 1 or N = 1 to a vector kernel whose accumulation order differs
-from the GEMM path; padding keeps per-sample forward passes bit-identical
-whether or not the sample shares a batch with others.
+All matrix products route through _matmul, which pads a single-row left operand
+(each matrix of a stack, as in conv2d's GEMM per sample) to two rows and a
+single-column right operand to two columns. BLAS dispatches M = 1 or N = 1 to
+a vector kernel whose accumulation order differs from the GEMM path; padding
+keeps a sample's forward bytes the same whether or not it shares a batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 class Tensor:
     """A numpy array plus an optional gradient and a tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -82,11 +82,11 @@ def backward(root: Tensor) -> None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with a one-row a or one-column b padded to two, so BLAS stays on GEMM."""
-    if a.shape[0] == 1:
-        return _matmul(np.concatenate([a, a], axis=0), b)[:1]
-    if b.shape[1] == 1:
-        return _matmul(a, np.concatenate([b, b], axis=1))[:, :1]
+    """a @ b; a one-row a (per stacked matrix) or one-column b is padded to two, for GEMM."""
+    if a.shape[-2] == 1:
+        return _matmul(np.concatenate([a, a], axis=-2), b)[..., :1, :]
+    if b.shape[-1] == 1:
+        return _matmul(a, np.concatenate([b, b], axis=-1))[..., :1]
     return a @ b
 
 
@@ -101,7 +101,9 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, padding: int) -> tuple[i
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation over (N, C, H, W) with per-filter bias."""
+    """Cross-correlation over (N, C, H, W) with per-filter bias, into a C-contiguous
+    (N, F, Ho, Wo) array; the im2col buffer is laid out as the transposed patches
+    matrix, which the forward and the weight gradient both read in place."""
     n, c, h, wd = x.shape
     f, cw, k, k2 = w.shape
     if k != k2:
@@ -112,23 +114,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ValueError(f"conv2d bias must have shape ({f},), got {b.shape}")
     ho, wo = _conv_geometry(h, wd, k, stride, padding)
 
-    xp = x.data
+    xp = x.data.transpose(1, 0, 2, 3)
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
     for ki in range(k):
         for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride]
-    patches = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * k * k)
+            cols[:, ki, kj] = xp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride]
     wmat = w.data.reshape(f, c * k * k)
-    out = _matmul(patches, wmat.T)
+    # one GEMM per sample, in the operand roles (and bytes) of patches @ wmat.T;
+    # wmat @ cols would give NCHW uncopied but other float64 bytes
+    out = _matmul(cols.reshape(c * k * k, n, ho * wo).transpose(1, 2, 0), wmat.T)
     out += b.data
-    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
     def back(g: np.ndarray) -> None:
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
         if w.requires_grad or w._parents:
-            _accumulate(w, _matmul(gmat.T, patches).reshape(w.shape))
+            _accumulate(w, _matmul(gmat.T, cols.reshape(c * k * k, -1).T).reshape(w.shape))
         if b.requires_grad or b._parents:
             _accumulate(b, gmat.sum(axis=0))
         if x.requires_grad or x._parents:

@@ -19,7 +19,8 @@ from ..models import Network
 
 # Samples per Network.forward_views call. Each call reads every weight once,
 # so vcnn2's 221 MB fc is read per chunk, not per model; larger chunks made
-# vcnn1 slower (12 views: 20 ms a model at 32 samples, 24 at 64). A model
+# the view nets slower (one BLAS thread, medians of 3: vcnn1, 12 views, 17.7 ms
+# a model at 32 samples, 19.4 at 64; mvnet, 20 views, 19.2 and 34.2). A model
 # with a larger group gets a call of its own.
 EVAL_CHUNK = 32
 

@@ -92,6 +92,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainingConfig,
                 sgd_step(network.params, state, cfg.optimizer)
                 loss_sum += batch_loss * len(idx)
                 confusion += confusion_matrix(yb, np.argmax(scores.data, axis=1), k)
+                del scores, loss  # free this step's tape before the next forward
             rec = EpochRecord(epoch=epoch,
                               loss=loss_sum / len(perm),
                               train_metric=average_per_class_accuracy(confusion),

@@ -68,8 +68,45 @@ CONV_BACKWARD_CASES = [
     ((2, 32, 16, 16), (64, 32, 3, 3), 1, 1),
 ]
 
+# the backward cases, vcnn1's layers and vcnn2's 1x1 reduction, stride 2 at
+# padding 1, and the shapes whose per-sample GEMM has one column (one filter)
+# or one row (a 1x1 output), which BLAS would send to GEMV unpadded
+CONV_FORWARD_CASES = CONV_BACKWARD_CASES + [
+    ((2, 30, 30, 30), (64, 30, 3, 3), 1, 0),
+    ((2, 64, 14, 14), (64, 64, 3, 3), 1, 0),
+    ((2, 64, 12, 12), (64, 64, 3, 3), 1, 0),
+    ((2, 60, 30, 30), (30, 60, 1, 1), 1, 0),
+    ((2, 3, 9, 11), (4, 3, 3, 3), 2, 1),
+    ((2, 3, 7, 9), (1, 3, 3, 3), 1, 1),
+    ((2, 30, 30, 30), (1, 30, 3, 3), 1, 1),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1, 0),
+    ((2, 3, 5, 5), (1, 3, 3, 3), 2, 0),
+]
+
 
 class TestConv2d:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_FORWARD_CASES)
+    def test_forward_bit_identical_to_reference_per_sample(self, x_shape, w_shape, stride,
+                                                           padding, n, dtype):
+        """Each sample gets the bytes the reference forward gives it alone, in a
+        C-contiguous NCHW array. The reference runs one GEMM over all n*ho*wo
+        patch rows, and BLAS's blocking makes some of its bytes move with n (the
+        one-filter cases at n = 2, and at n = 32 in float64; the 3-channel 5x5
+        cases at n = 2), so the comparison is per sample."""
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride + padding + n)
+        x = rng.normal(size=(n, *x_shape[1:])).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        b = rng.normal(size=w_shape[0]).astype(dtype)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        ho, wo = T._conv_geometry(x_shape[2], x_shape[3], w_shape[2], stride, padding)
+        assert out.dtype == dtype and out.shape == (n, w_shape[0], ho, wo)
+        assert out.flags.c_contiguous
+        for i in range(n):
+            want = conv2d_op_reference(Tensor(x[i:i + 1]), Tensor(w), Tensor(b), stride, padding)
+            assert out[i:i + 1].tobytes() == np.ascontiguousarray(want.data).tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_BACKWARD_CASES)
     def test_input_gradient_bit_identical_to_nchw_col2im(self, x_shape, w_shape, stride,
@@ -586,7 +623,9 @@ class TestSgd:
 
 
 def conv2d_op_reference(x, w, b, stride=1, padding=0):
-    """conv2d with an out-of-place bias add and the NCHW col2im backward."""
+    """conv2d's former forward, one GEMM over all n*ho*wo patch rows into a
+    transposed NHWC view, with an out-of-place bias add and the NCHW col2im
+    backward."""
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     ho, wo = T._conv_geometry(h, wd, k, stride, padding)

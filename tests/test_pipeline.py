@@ -8,6 +8,7 @@ import os
 import pathlib
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -483,6 +484,28 @@ class TestTraining:
         x, y = toy_data()
         train(net, x, y, toy_config(epochs=2), np.float32, name="toy")
         assert all(p.grad is None for p in net.params.values())
+
+    def test_frees_each_step_before_the_next_forward(self, monkeypatch):
+        """The previous step's loss, and with it its tape, is dead when the
+        next forward starts, so training holds one step of buffers at a time."""
+        losses, alive_at_forward = [], []
+        softmax_loss, forward = T.softmax_loss, Network.forward
+
+        def recording_loss(scores, labels):
+            loss = softmax_loss(scores, labels)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        def checking_forward(self, *args, **kwargs):
+            alive_at_forward.append(sum(ref() is not None for ref in losses))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(T, "softmax_loss", recording_loss)
+        monkeypatch.setattr(Network, "forward", checking_forward)
+        net = Network.initialize(toy_spec(), seed=1)
+        x, y = toy_data()
+        train(net, x, y, toy_config(epochs=2), np.float32, name="toy")
+        assert len(losses) == 10 and alive_at_forward == [0] * 10
 
     def test_from_arrays_network_trains_on_its_own_copy(self):
         source = Network.initialize(toy_spec(), seed=1).arrays()
